@@ -1,8 +1,8 @@
-"""Throughput benchmark for the async SMS request front end.
+"""Throughput benchmark for the batched SMS request front end.
 
 Measures sustained ingest (requests/s) and request→broadcast latency of
 :class:`repro.server.frontend.RequestFrontend` over a simulated request
-day, checks the serial reference run reproduces the async-batched ledger
+day, checks the serial reference run reproduces the batched ledger
 bit for bit, and merges the numbers into ``BENCH_pipeline.json``.
 
 The persistent ledger of the full run is written to
@@ -68,7 +68,7 @@ class TestRequestFrontend:
         assert result.served_fraction == 1.0
         assert result.stats.shed == 0
 
-        # Serial reference == async-batched, on a smaller trace (the
+        # Serial reference == batched, on a smaller trace (the
         # serial mode pays one dispatch per request by construction).
         small = generate_requests(
             RequestTraceConfig(hours=2.0, n_pages=100, n_requests=20_000, seed=3)

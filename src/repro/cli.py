@@ -466,15 +466,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         ),
         store=store,
     )
-    if args.persistent:
-        pipeline.start(args.processes)
     urls = pipeline.generator.all_urls()[: args.top]
-    try:
-        result = pipeline.encode_catalog(
-            urls, hour=args.hour, processes=args.processes
-        )
-    finally:
-        pipeline.close()
+    result = pipeline.encode_catalog(urls, hour=args.hour, processes=args.processes)
 
     modem = Modem(args.profile)
     transport = BundleTransport()
@@ -528,7 +521,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a simulated SMS request day through the async front end."""
+    """Serve a simulated SMS request day through the batched front end."""
     from repro.server.frontend import (
         CatalogResolver,
         FrontendConfig,
@@ -551,14 +544,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 width=args.width,
                 max_height=args.max_height,
                 quality=10,
-                reference=args.respawn_pool,
             ),
             store=BundleStore(directory=args.store) if args.store else None,
         )
-        if not args.respawn_pool:
-            # Persistent pool: workers spawn once and build their
-            # renderer once, then serve every resolve for the whole day.
-            pipeline.start(args.processes)
+        # Persistent pool: workers spawn once and build their renderer
+        # once, then serve every resolve for the whole day.
+        pipeline.start(args.processes)
         resolver = CatalogResolver(pipeline, processes=args.processes)
     else:
         resolver = SizeModelResolver(
@@ -589,8 +580,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_backlog_bytes=args.max_backlog_kb * 1024,
             defer_capacity=args.defer_capacity,
-            pipelined=not args.respawn_pool,
-            prefetch=not (args.no_prefetch or args.respawn_pool),
         ),
         ledger=RequestLedger(args.ledger) if args.ledger else None,
     )
@@ -612,7 +601,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     frontend.ledger.reconcile()
 
     stats = result.stats
-    mode = "serial" if args.serial else "async-batched"
+    mode = "serial" if args.serial else "batched"
     print(
         f"\n{mode}: {result.n_requests:,} requests in {result.elapsed_s:.2f}s "
         f"({result.requests_per_s:,.0f} req/s, "
@@ -633,13 +622,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"backpressure: {stats.deferred:,} deferred "
         f"({stats.retried:,} retried), {stats.shed:,} shed, "
-        f"peak backlog {stats.peak_backlog_bytes / 1e6:.2f} MB, "
-        f"peak ingest depth {stats.peak_queue_depth} cohorts"
+        f"peak backlog {stats.peak_backlog_bytes / 1e6:.2f} MB"
     )
     if pipeline is not None:
         print(
-            f"render pool: {'respawn-per-batch (reference)' if args.respawn_pool else 'persistent'}, "
-            f"prefetch {pipeline.prefetch_used}/{pipeline.prefetch_submitted} "
+            f"render pool: prefetch "
+            f"{pipeline.prefetch_used}/{pipeline.prefetch_submitted} "
             f"speculative renders used"
         )
         pipeline.close()
@@ -948,15 +936,15 @@ def _bench_smoke(repo_root: Path) -> int:
     small = generate_requests(
         RequestTraceConfig(hours=2.0, n_pages=100, n_requests=20_000, seed=3)
     )
-    fe_async, _ = _frontend(small)
+    fe_batched, _ = _frontend(small)
     fe_serial, _ = _frontend(small, serial=True)
-    if fe_async.ledger.digest() != fe_serial.ledger.digest():
+    if fe_batched.ledger.digest() != fe_serial.ledger.digest():
         print(
-            "error: async-batched ledger diverged from the serial reference",
+            "error: batched ledger diverged from the serial reference",
             file=sys.stderr,
         )
         return 1
-    print("request ledger:  serial == async-batched (digest match)")
+    print("request ledger:  serial == batched (digest match)")
 
     # --- serve_catalog gate: full-fidelity resolve, pipelined == serial ---
     from repro.server.cache import BundleStore
@@ -1589,16 +1577,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=14.0)
     p.add_argument("--processes", type=int, default=None,
                    help="pool size for render+encode (default: cpu count)")
-    p.add_argument("--persistent", action="store_true",
-                   help="start a persistent worker pool (reusable across "
-                        "encode_catalog calls) instead of a per-call pool")
     p.add_argument("--store", default=None,
                    help="directory for the persistent bundle store")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser(
         "serve",
-        help="serve a simulated SMS request day through the async front end",
+        help="serve a simulated SMS request day through the batched front end",
     )
     p.add_argument("--hours", type=float, default=24.0,
                    help="simulated request-day length")
@@ -1633,11 +1618,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render width in pixels (catalog resolver)")
     p.add_argument("--max-height", type=int, default=1_200,
                    help="crop rendered pages to this height (catalog resolver)")
-    p.add_argument("--respawn-pool", action="store_true",
-                   help="reference baseline: respawn the render pool per "
-                        "batch and resolve on the event loop (seed renderer)")
-    p.add_argument("--no-prefetch", action="store_true",
-                   help="disable speculative next-hour prefetch")
     p.add_argument("--ledger", default=None,
                    help="sqlite path for the persistent request ledger "
                         "(default: in-memory)")

@@ -4,7 +4,6 @@ from repro.core.config import SystemConfig
 from repro.core.pipeline import (
     LossSimulation,
     frames_to_waveform,
-    page_to_waveform,
     waveform_to_frames,
     simulate_column_loss,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "StreamStats",
     "LossSimulation",
     "frames_to_waveform",
-    "page_to_waveform",
     "waveform_to_frames",
     "simulate_column_loss",
 ]

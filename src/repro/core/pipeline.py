@@ -24,7 +24,6 @@ from repro.util.rng import derive_rng
 
 __all__ = [
     "frames_to_waveform",
-    "page_to_waveform",
     "waveform_to_frames",
     "LossSimulation",
     "simulate_column_loss",
@@ -61,11 +60,6 @@ def frames_to_waveform(
     )
     source = WaveformSource(lambda: next(bursts, None), modem)
     return source.read_all()
-
-
-#: Historical alias — use :func:`frames_to_waveform`; the pipeline
-#: operates on any frame list, not just pages.
-page_to_waveform = frames_to_waveform
 
 
 def waveform_to_frames(

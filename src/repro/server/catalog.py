@@ -41,13 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CatalogConfig:
-    """Everything an encoded page depends on besides (url, hour).
-
-    ``reference`` routes workers through the seed render path
-    (:meth:`~repro.web.render.PageRenderer.render_ref`) — byte-identical
-    output, seed-era cost.  It is the honest baseline for the
-    ``serve_catalog`` bench and deliberately not part of the bundle key.
-    """
+    """Everything an encoded page depends on besides (url, hour)."""
 
     seed: int = 42
     n_sites: int = 25
@@ -55,7 +49,6 @@ class CatalogConfig:
     max_height: int | None = 10_000
     quality: int = 10
     expiry_hours: float = 24.0
-    reference: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,7 @@ def _render_encode(
 ) -> bytes:
     """Render + encode one page — the pure function both paths share."""
     page = generator.page(url, hour)
-    result = renderer.render_ref(page) if config.reference else renderer.render(page)
+    result = renderer.render(page)
     bundle = PageBundle(
         url,
         result.image,
@@ -148,11 +141,11 @@ def _encode_worker_indexed(args: tuple[int, str, int]) -> tuple[int, bytes]:
 class _InlineResult:
     """Lazy in-process stand-in for ``multiprocessing``'s AsyncResult.
 
-    The render runs on whichever thread first calls :meth:`wait` or
-    :meth:`get` — for the pipelined front end that is the executor
-    thread parking on ``CatalogJob.wait``, so ingest still overlaps
-    rendering.  A lock makes the first-caller-renders race safe when a
-    handle is shared between overlapping jobs.
+    The render runs on the first call to :meth:`wait` or :meth:`get` —
+    for the front end that is the commit of the cohort that asked for
+    it, so a speculative render nobody harvests costs nothing.  A lock
+    keeps first-caller-renders safe if a handle shared between
+    overlapping jobs is waited on from two threads.
     """
 
     def __init__(self, encode, args: tuple[str, int]) -> None:
@@ -247,9 +240,8 @@ class CatalogJob:
         )
 
     def wait(self) -> None:
-        """Block until every miss has rendered.  Thread-safe: only waits
-        on pool events, touching no pipeline state — callers may park
-        this on an executor thread while the main thread keeps working."""
+        """Block until every miss has rendered.  Only waits on pool
+        events, touching no pipeline state."""
         for _, _, _, payload, _ in self._entries:
             if payload is not None and not isinstance(payload, bytes):
                 payload.wait()
@@ -284,16 +276,15 @@ class CatalogJob:
 
 
 class CatalogPipeline:
-    """Store-backed catalog encoder: serial, per-call pool, or persistent.
+    """Store-backed catalog encoder: serial, or over a worker pool.
 
     :meth:`start` attaches a persistent worker pool — each worker builds
     its :class:`SiteGenerator`/:class:`PageRenderer` once and keeps its
-    raster caches warm across every subsequent call, eliminating the
-    per-batch fork+init cost of the ``processes=N`` path.  Completion is
+    raster caches warm across every subsequent call.  Completion is
     out-of-order (``imap_unordered``) but commits happen in slot order,
     so results stay byte-identical to serial.  With a pool attached the
-    pipeline also supports asynchronous :meth:`submit_catalog` jobs and
-    speculative :meth:`prefetch`.
+    pipeline also overlaps :meth:`submit_catalog` jobs with the caller
+    and runs speculative :meth:`prefetch`.
     """
 
     def __init__(
@@ -391,9 +382,11 @@ class CatalogPipeline:
         """Encode all (or the given) catalog URLs as they appear at ``hour``.
 
         ``processes=None`` picks ``min(misses, cpu_count)``;
-        ``processes<=1`` runs serially in this process.  Either way the
-        resulting bundle bytes are identical, and every miss lands in the
-        store for the next hour/run to reuse.
+        ``processes<=1`` (or a single miss) runs serially in this
+        process.  Without a started pool, more processes start one for
+        this call only.  Either way the resulting bundle bytes are
+        identical, and every miss lands in the store for the next
+        hour/run to reuse.
         """
         urls = list(urls) if urls is not None else self.generator.all_urls()
         t0 = time.perf_counter()
@@ -416,19 +409,16 @@ class CatalogPipeline:
             processes = max(1, int(processes))
 
         if misses:
-            if self._pool is not None:
-                encoded = self._encode_misses_pool(urls, keyed, misses, hour)
-            elif processes == 1 or len(misses) == 1:
+            if self._pool is None and (processes == 1 or len(misses) == 1):
                 encoded = [self._encode_serial(urls[i], hour) for i in misses]
+            elif self._pool is not None:
+                encoded = self._encode_misses_pool(urls, keyed, misses, hour)
             else:
-                with multiprocessing.Pool(
-                    processes, initializer=_init_worker, initargs=(self.config,)
-                ) as pool:
-                    encoded = pool.map(
-                        _encode_worker,
-                        [(urls[i], hour) for i in misses],
-                        chunksize=max(1, len(misses) // (4 * processes)),
-                    )
+                self.start(processes)
+                try:
+                    encoded = self._encode_misses_pool(urls, keyed, misses, hour)
+                finally:
+                    self.close()
             # Commit in slot order regardless of completion order: the
             # store sees the same put sequence as the serial path.
             for i, data in zip(misses, encoded):

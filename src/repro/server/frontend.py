@@ -1,18 +1,20 @@
-"""Asyncio SMS request front end: batched ingest at carousel scale.
+"""SMS request front end: batched ingest at carousel scale.
 
 SONIC's uplink is SMS page requests feeding the broadcast carousel
 (Section 3.1).  This module turns the one-message-at-a-time simulation
-into a request-serving *service*: a bounded asyncio ingest queue fed by
-the vectorised request generator, a dispatcher that coalesces identical
-page requests and batches dispatch into the store-backed resolvers, a
-persistent sqlite ledger of every request's life cycle, and explicit
-backpressure when the carousel saturates.
+into a request-serving *service*: the vectorised request generator's
+trace is cut into per-tick cohorts, a dispatcher coalesces identical
+page requests and batches dispatch into the store-backed resolvers
+(submitting renders up to :data:`LOOKAHEAD` cohorts ahead when the
+resolver has a render pool), a persistent sqlite ledger records every
+request's life cycle, and backpressure is explicit when the carousel
+saturates.
 
 The dataflow::
 
-    generate_requests -> ingest queue -> dedup/coalesce -> resolve batch
-        (cohorts)        (bounded)       (per unique URL)  (BundleStore /
-                                                            size model)
+    generate_requests -> cohorts -> dedup/coalesce -> resolve batch
+        (trace)         (per tick,   (per unique URL)  (BundleStore /
+                         in order)                       size model)
                               |                                  |
                               v                                  v
                         RequestLedger  <-  carousel drain  <- enqueue
@@ -23,14 +25,13 @@ Determinism: all outcome-changing state (carousel drain, deferred
 retries) advances only at tick boundaries, and requests are processed in
 arrival order within a tick, so *any* partitioning of the request stream
 into dispatch batches — including the degenerate one-request-at-a-time
-serial mode — produces a bit-identical ledger.  That is the async
+serial mode — produces a bit-identical ledger.  That is the batched
 analogue of the fleet simulator's counter-RNG chunk invariance, and the
 ``repro bench`` gate checks it on every run.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 import time
 from collections import deque
@@ -54,6 +55,10 @@ __all__ = [
     "RequestFrontend",
 ]
 
+#: Cohorts whose renders may be in flight ahead of the commit point,
+#: when the resolver can start them early (``resolve_submit``).
+LOOKAHEAD = 4
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -62,15 +67,11 @@ class FrontendConfig:
     rate_bps: float = 20_000.0  # carousel drain rate
     tick_s: float = 10.0  # batch window and drain granularity
     max_batch: int = 8192  # requests per dispatch batch
-    queue_cohorts: int = 64  # bounded ingest queue (in cohorts)
     max_backlog_bytes: int = 4_000_000  # carousel saturation threshold
     defer_capacity: int = 20_000  # parked requests before shedding
     request_priority: float = 100.0  # matches SchedulerConfig
     drain_grace_hours: float = 4.0  # post-trace drain horizon
     commit_every_ticks: int = 360  # ledger commit cadence
-    pipelined: bool = True  # overlap resolves with ingest (needs resolve_submit)
-    resolve_depth: int = 4  # in-flight speculative resolves (cohorts)
-    prefetch: bool = True  # speculative next-hour renders (needs prefetch_hour)
 
 
 @dataclass
@@ -89,7 +90,6 @@ class FrontendStats:
     batches: int = 0
     ticks: int = 0
     peak_backlog_bytes: int = 0
-    peak_queue_depth: int = 0  # ingest queue, in cohorts
     peak_deferred: int = 0
 
     @property
@@ -221,12 +221,13 @@ class CatalogResolver:
     for a hot page cost exactly one render+encode — and a warm store
     (an earlier hour, a previous run) costs none.
 
-    With a *persistent* pipeline (``pipeline.start()``) this resolver
-    also exposes the pipelined-dispatch hooks the front end uses to keep
-    renders off the event loop: :meth:`resolve_submit` /
-    :meth:`resolve_commit` wrap :meth:`CatalogPipeline.submit_catalog`
-    jobs, and :meth:`prefetch_hour` pre-renders the next hour's epoch
-    rollovers while the current hour broadcasts.
+    It also exposes the hooks the front end uses to render ahead of the
+    commit point: :meth:`resolve_submit` / :meth:`resolve_commit` wrap
+    :meth:`CatalogPipeline.submit_catalog` jobs, and
+    :meth:`prefetch_hour` pre-renders the next hour's epoch rollovers
+    while the current hour broadcasts.  Both overlap only with a
+    started pool (``pipeline.start()``); without one, a job renders at
+    commit time and prefetch is a no-op.
     """
 
     def __init__(self, pipeline, processes: int | None = None) -> None:
@@ -263,7 +264,7 @@ class CatalogResolver:
         self.store_misses += result.encoded
         return [(len(p.data), p.epoch, p.from_store) for p in result.pages]
 
-    # -- pipelined dispatch hooks ---------------------------------------------
+    # -- render-ahead hooks ---------------------------------------------------
 
     def resolve_submit(self, url_indices: list[int], hour: int):
         """Kick off the renders for a cohort; returns a waitable job."""
@@ -380,16 +381,15 @@ class RequestFrontend:
                 self._complete(url, t)
             if self._deferred:
                 self._retry_deferred(t)
-            if cfg.prefetch:
-                # While hour h broadcasts, idle workers pre-render the
-                # pages whose epoch rolls over at h+1 — store warming
-                # only, so serial and pipelined outcomes stay identical.
-                hour = int(t // 3600)
-                if hour > self._prefetched_hour:
-                    self._prefetched_hour = hour
-                    prefetch_hour = getattr(self.resolver, "prefetch_hour", None)
-                    if prefetch_hour is not None:
-                        prefetch_hour(hour + 1)
+            # While hour h broadcasts, idle workers pre-render the pages
+            # whose epoch rolls over at h+1 — store warming only, so
+            # serial and batched runs yield the same outcomes.
+            hour = int(t // 3600)
+            if hour > self._prefetched_hour:
+                self._prefetched_hour = hour
+                prefetch_hour = getattr(self.resolver, "prefetch_hour", None)
+                if prefetch_hour is not None:
+                    prefetch_hour(hour + 1)
             backlog = self.carousel.backlog_bytes()
             if backlog > self.stats.peak_backlog_bytes:
                 self.stats.peak_backlog_bytes = backlog
@@ -493,7 +493,7 @@ class RequestFrontend:
         including the serial one-request cohorts.
 
         ``resolved`` may carry (size, epoch) pairs computed ahead of
-        time by the pipelined driver; everything it resolves is pure in
+        time by the render-ahead lookahead; everything it resolves is pure in
         (url, hour), so a speculative superset is harmless and any URL
         it missed is topped up synchronously here.
         """
@@ -593,76 +593,47 @@ class RequestFrontend:
                 c = min(b + max_batch, int(e))
                 yield k, req_ids[b:c], trace.url_index[b:c], times[b:c]
 
-    def _dispatch_cohort(self, cohort) -> None:
-        k, ids, urls, times = cohort
-        # Cohort k holds arrivals in [k*T, (k+1)*T): the batch window
-        # closes — and dispatch happens — at the (k+1) boundary.
-        self.advance_to_tick(k + 1)
-        self.submit_batch(ids, urls, times)
-
-    async def _run_async(self, trace: RequestTrace, progress, progress_every) -> None:
-        if self.config.pipelined and hasattr(self.resolver, "resolve_submit"):
-            await self._run_async_pipelined(trace, progress, progress_every)
-            return
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_cohorts)
-
-        async def produce() -> None:
-            for cohort in self._cohorts(trace, self.config.max_batch):
-                await queue.put(cohort)
-            await queue.put(None)
-
-        async def dispatch() -> None:
-            while True:
-                cohort = await queue.get()
-                depth = queue.qsize()
-                if depth > self.stats.peak_queue_depth:
-                    self.stats.peak_queue_depth = depth
-                if cohort is None:
-                    return
-                self._dispatch_cohort(cohort)
-                if progress is not None and self.stats.batches % progress_every == 0:
-                    progress(self)
-
-        await asyncio.gather(produce(), dispatch())
-
-    async def _run_async_pipelined(
-        self, trace: RequestTrace, progress, progress_every
+    def _drive(
+        self, trace: RequestTrace, serial: bool, progress, progress_every
     ) -> None:
-        """Three-stage driver: ingest -> speculative resolve -> commit.
+        """Serve the trace: read cohorts, render ahead, commit in order.
 
-        The resolve stage dispatches each cohort's misses to the render
-        pool *before* its tick boundary is reached, so pages render while
-        earlier cohorts are still being ingested and committed; the
-        commit stage advances the tick clock in strict cohort order and
-        parks on an executor thread (``job.wait`` touches only pool
-        events) whenever a render hasn't finished.  Everything resolved
-        ahead of time is pure in (url, hour), and all state mutation
-        stays on the event-loop thread at tick boundaries — which is why
-        the ledger digest is identical to the serial driver's, and the
-        smoke gate holds it there.
+        When the resolver has ``resolve_submit``, each cohort's
+        speculative need-set (URLs not on air at its hour, judged before
+        the earlier in-flight cohorts commit) goes to the render pool as
+        soon as the cohort is read, and up to :data:`LOOKAHEAD` cohorts
+        stay in flight.  Commits run oldest-first: advance the tick
+        clock to the cohort's boundary, wait for its renders, harvest
+        them, dispatch.  Everything resolved ahead is pure in
+        (url, hour) and :meth:`submit_batch` tops up whatever the guess
+        missed, so the ledger is the serial one.  ``serial=True`` is this
+        loop with one-request cohorts and no lookahead.
         """
         cfg = self.config
         resolver = self.resolver
-        queue: asyncio.Queue = asyncio.Queue(maxsize=cfg.queue_cohorts)
-        pending: asyncio.Queue = asyncio.Queue(maxsize=max(1, cfg.resolve_depth))
+        submit = None if serial else getattr(resolver, "resolve_submit", None)
+        lookahead = LOOKAHEAD if submit is not None else 0
+        inflight: deque = deque()
 
-        async def produce() -> None:
-            for cohort in self._cohorts(trace, cfg.max_batch):
-                await queue.put(cohort)
-            await queue.put(None)
+        def commit() -> None:
+            (k, ids, urls, times), need, job = inflight.popleft()
+            # Cohort k holds arrivals in [k*T, (k+1)*T): the batch window
+            # closes — and dispatch happens — at the (k+1) boundary.
+            self.advance_to_tick(k + 1)
+            resolved: dict[int, tuple[int, int]] = {}
+            if job is not None:
+                job.wait()
+                for u, (size, epoch, _) in zip(need, resolver.resolve_commit(job)):
+                    resolved[u] = (size, epoch)
+            self.submit_batch(ids, urls, times, resolved=resolved)
+            if progress is not None and self.stats.batches % progress_every == 0:
+                progress(self)
 
-        async def resolve() -> None:
-            while True:
-                cohort = await queue.get()
-                depth = queue.qsize()
-                if depth > self.stats.peak_queue_depth:
-                    self.stats.peak_queue_depth = depth
-                if cohort is None:
-                    await pending.put(None)
-                    return
+        for cohort in self._cohorts(trace, 1 if serial else cfg.max_batch):
+            need: list[int] = []
+            job = None
+            if submit is not None:
                 k, _, urls, _ = cohort
-                # Speculative need-set against current state; the commit
-                # stage tops up anything this guess misses.
                 hour = int(((k + 1) * cfg.tick_s) // 3600)
                 active = self._active
                 need = [
@@ -670,36 +641,13 @@ class RequestFrontend:
                     for u in np.unique(urls).tolist()
                     if active.get(u) != resolver.epoch(u, hour)
                 ]
-                job = resolver.resolve_submit(need, hour) if need else None
-                await pending.put((cohort, need, job))
-
-        async def commit() -> None:
-            loop = asyncio.get_running_loop()
-            while True:
-                item = await pending.get()
-                if item is None:
-                    return
-                (k, ids, urls, times), need, job = item
-                self.advance_to_tick(k + 1)
-                resolved: dict[int, tuple[int, int]] = {}
-                if job is not None:
-                    if not job.ready():
-                        await loop.run_in_executor(None, job.wait)
-                    for u, (size, epoch, _) in zip(
-                        need, resolver.resolve_commit(job)
-                    ):
-                        resolved[u] = (size, epoch)
-                self.submit_batch(ids, urls, times, resolved=resolved)
-                if progress is not None and self.stats.batches % progress_every == 0:
-                    progress(self)
-
-        await asyncio.gather(produce(), resolve(), commit())
-
-    def _run_serial(self, trace: RequestTrace, progress, progress_every) -> None:
-        for cohort in self._cohorts(trace, max_batch=1):
-            self._dispatch_cohort(cohort)
-            if progress is not None and self.stats.batches % progress_every == 0:
-                progress(self)
+                if need:
+                    job = submit(need, hour)
+            inflight.append((cohort, need, job))
+            if len(inflight) > lookahead:
+                commit()
+        while inflight:
+            commit()
 
     def finish(self, trace: RequestTrace) -> None:
         """Drain queued work after the last arrival, bounded by the grace
@@ -723,11 +671,13 @@ class RequestFrontend:
     ) -> FrontendResult:
         """Serve a whole trace; ``serial=True`` is the one-at-a-time
         reference whose ledger the batched run must reproduce exactly."""
+        if trace.n_pages > len(self.resolver.urls):
+            raise ValueError(
+                f"trace draws from {trace.n_pages} pages but the resolver "
+                f"serves only {len(self.resolver.urls)} URLs"
+            )
         t0 = time.perf_counter()
-        if serial:
-            self._run_serial(trace, progress, progress_every)
-        else:
-            asyncio.run(self._run_async(trace, progress, progress_every))
+        self._drive(trace, serial, progress, progress_every)
         self.finish(trace)
         elapsed = time.perf_counter() - t0
         return FrontendResult(

@@ -235,7 +235,7 @@ class RequestLedger:
         """Content hash over every row, in ``req_id`` order.
 
         Two runs produced identical ledger outcomes iff their digests
-        match — the serial vs async-batched determinism check without
+        match — the serial vs batched determinism check without
         materialising millions of rows in memory.
         """
         self.flush()

@@ -144,7 +144,7 @@ class TestCli:
             "--progress-every", "30", "--ledger", str(ledger),
         ]) == 0
         out = capsys.readouterr().out
-        assert "async-batched: 3,000 requests" in out
+        assert "\nbatched: 3,000 requests" in out
         assert "latency: p50" in out
         assert "coalesce" in out
         assert "backpressure:" in out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import (
-    page_to_waveform,
+    frames_to_waveform,
     simulate_column_loss,
     waveform_to_frames,
 )
@@ -17,7 +17,7 @@ class TestAudioPipeline:
         small = page_image[:60, :8]
         frames = ColumnTransport("rle").partition(small, page_id=2)
         assert frames
-        wave = page_to_waveform(frames, quick_modem, frames_per_burst=8)
+        wave = frames_to_waveform(frames, quick_modem, frames_per_burst=8)
         received = waveform_to_frames(wave, quick_modem, frames_per_burst=8)
         assert len(received) == len(frames)
         assert all(r is not None for r in received)
@@ -31,14 +31,14 @@ class TestAudioPipeline:
     def test_lost_frames_reported_as_none(self, quick_modem, page_image):
         small = page_image[:40, :4]
         frames = ColumnTransport("rle").partition(small, page_id=2)
-        wave = page_to_waveform(frames, quick_modem, frames_per_burst=8)
+        wave = frames_to_waveform(frames, quick_modem, frames_per_burst=8)
         rng = np.random.default_rng(0)
         noisy = wave + rng.normal(0, 0.35, wave.size)
         received = waveform_to_frames(noisy, quick_modem, frames_per_burst=8)
         assert any(r is None for r in received) or len(received) < len(frames)
 
     def test_empty_input(self, quick_modem):
-        assert page_to_waveform([], quick_modem).size == 0
+        assert frames_to_waveform([], quick_modem).size == 0
 
 
 class TestColumnLossSimulation:

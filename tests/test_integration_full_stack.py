@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.client.client import ClientProfile, SonicClient
-from repro.core.pipeline import page_to_waveform, waveform_to_frames
+from repro.core.pipeline import frames_to_waveform, waveform_to_frames
 from repro.imaging.metrics import psnr_db
 from repro.modem.modem import Modem
 from repro.radio.channels import FmRadioLink
@@ -38,7 +38,7 @@ def test_full_stack_page_delivery():
 
     # 3. Modulate into audio and pass through the FM chain at -75 dB.
     modem = Modem("sonic-ofdm")
-    wave = page_to_waveform(frames, modem, frames_per_burst=16)
+    wave = frames_to_waveform(frames, modem, frames_per_burst=16)
     link = FmRadioLink(seed=9)
     received_audio = link.transmit(wave, rssi_dbm=-75.0)
 

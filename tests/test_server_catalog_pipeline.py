@@ -1,11 +1,12 @@
-"""Persistent render pool, pipelined resolve, and speculative prefetch.
+"""Persistent render pool, render-ahead resolve, and speculative prefetch.
 
 Every serving mode — serial, per-call pool, persistent subprocess pool,
-persistent in-process worker, with and without pipelining/prefetch —
-must produce bit-identical bundles and ledgers.  These tests pin that
-contract end to end.
+persistent in-process worker, any batch size — must produce
+bit-identical bundles and ledgers.  These tests pin that contract end
+to end.
 """
 
+import numpy as np
 import pytest
 
 from repro.server.cache import BundleStore
@@ -23,7 +24,7 @@ from repro.server.frontend import (
 from repro.server.server import ServerConfig, SonicServer
 from repro.server.transmitters import Transmitter, TransmitterRegistry
 from repro.sim.geometry import Location
-from repro.sim.workload import RequestTraceConfig, generate_requests
+from repro.sim.workload import RequestTrace, RequestTraceConfig, generate_requests
 from repro.sms.gateway import GatewayConfig, SmsGateway
 from repro.web.sites import SiteGenerator
 
@@ -39,8 +40,9 @@ class TestPersistentPool:
         serial = _pipeline()
         serial.encode_catalog(hour=1, processes=1)
 
-        respawn = _pipeline()
-        respawn.encode_catalog(hour=1, processes=2)
+        per_call = _pipeline()
+        per_call.encode_catalog(hour=1, processes=2)
+        assert not per_call.persistent  # the one-call pool is torn down
 
         with _pipeline().start(2) as subproc:
             subproc.encode_catalog(hour=1)
@@ -49,7 +51,7 @@ class TestPersistentPool:
             inline.encode_catalog(hour=1)
 
         expect = serial.store.content_digest()
-        assert respawn.store.content_digest() == expect
+        assert per_call.store.content_digest() == expect
         assert subproc.store.content_digest() == expect
         assert inline.store.content_digest() == expect
 
@@ -173,7 +175,7 @@ class TestContentDigest:
 
 
 class TestFrontendModeParity:
-    """Serial, pipelined, and persistent serving agree bit for bit."""
+    """Every batch size and pool mode reproduces the serial ledger."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -181,14 +183,18 @@ class TestFrontendModeParity:
             RequestTraceConfig(hours=2.0, n_pages=8, n_requests=1_500, seed=5)
         )
 
-    def _run(self, trace, serial=False, persistent=False, processes=None,
-             pipelined=True, prefetch=True):
+    @pytest.fixture(scope="class")
+    def serial(self, trace):
+        return self._run(trace, serial=True)
+
+    @staticmethod
+    def _run(trace, serial=False, max_batch=8192, pool=None):
         pipeline = _pipeline()
-        if persistent:
-            pipeline.start(processes)
+        if pool is not None:
+            pipeline.start(pool)
         frontend = RequestFrontend(
             CatalogResolver(pipeline, processes=1),
-            FrontendConfig(pipelined=pipelined, prefetch=prefetch),
+            FrontendConfig(max_batch=max_batch),
         )
         frontend.run(trace, serial=serial)
         digest = frontend.ledger.digest()
@@ -196,23 +202,37 @@ class TestFrontendModeParity:
         frontend.ledger.close()
         return digest, pipeline.store
 
-    def test_all_modes_reproduce_serial_ledger(self, trace):
-        d_serial, s_serial = self._run(
-            trace, serial=True, pipelined=False, prefetch=False
-        )
-        d_async, s_async = self._run(trace, pipelined=False, prefetch=False)
-        d_pipe, s_pipe = self._run(trace, prefetch=False)
-        d_inline, s_inline = self._run(trace, persistent=True, processes=1)
-
-        assert d_async == d_serial
-        assert d_pipe == d_serial
-        assert d_inline == d_serial
-        expect = s_serial.content_digest()
-        assert s_async.content_digest() == expect
-        assert s_pipe.content_digest() == expect
+    @pytest.mark.parametrize(
+        "pool", [None, 1, 2], ids=["no-pool", "inline", "subprocess"]
+    )
+    @pytest.mark.parametrize("max_batch", [1, 7, 8192])
+    def test_all_modes_reproduce_serial_ledger(self, trace, serial, max_batch, pool):
+        d_serial, s_serial = serial
+        digest, store = self._run(trace, max_batch=max_batch, pool=pool)
+        assert digest == d_serial
         # Prefetch may add bundles beyond what demand produced, but can
         # never change one the serial run wrote.
-        assert s_inline.superset_of(s_serial)
+        assert store.superset_of(s_serial)
+        if pool is None:
+            assert store.content_digest() == s_serial.content_digest()
+
+    def test_cohort_committed_after_epoch_rollover(self):
+        # Arrivals in the last tick of hour 0 commit at 3600 s, after the
+        # front page's epoch rolls over: rendering ahead must resolve
+        # them at the commit hour, exactly as the serial path does.
+        generator = _pipeline().generator
+        front = generator.all_urls()[0]
+        assert generator.effective_epoch(front, 0) != generator.effective_epoch(front, 1)
+        trace = RequestTrace(
+            times=np.linspace(3591.0, 3599.0, 5),
+            url_index=np.zeros(5, dtype=np.int32),
+            n_pages=1,
+            duration_s=7200.0,
+        )
+        d_serial, s_serial = self._run(trace, serial=True)
+        digest, store = self._run(trace)
+        assert digest == d_serial
+        assert store.content_digest() == s_serial.content_digest()
 
 
 class TestHourWindowMemo:

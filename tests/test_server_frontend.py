@@ -1,4 +1,4 @@
-"""Async SMS request front end: coalescing, backpressure, determinism."""
+"""SMS request front end: coalescing, backpressure, determinism."""
 
 import numpy as np
 import pytest
@@ -49,6 +49,13 @@ class TestRequestTrace:
         assert np.array_equal(a.url_index, b.url_index)
         c = _trace(seed=10)
         assert not np.array_equal(a.times, c.times)
+
+    def test_trace_wider_than_catalog_fails_fast(self):
+        # 6 sites serve 24 URLs; a 48-page trace would index past them.
+        resolver = SizeModelResolver(SiteGenerator(seed=7, n_sites=6))
+        fe = RequestFrontend(resolver, FrontendConfig())
+        with pytest.raises(ValueError, match="48 pages .* 24 URLs"):
+            fe.run(_trace(n_pages=48, n_requests=500))
 
     def test_zipf_head_dominates(self):
         trace = _trace(n_requests=50_000)
