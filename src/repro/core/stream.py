@@ -208,7 +208,7 @@ class StreamStats:
     """Live counters of one :class:`StreamSession`."""
 
     chunks: int = 0
-    samples: int = 0
+    samples: int = 0  # samples delivered to the receiver during step()
     frames_decoded: int = 0
     frames_ok: int = 0
     elapsed_s: float = 0.0  # wall clock spent in step()
@@ -260,8 +260,13 @@ class StreamSession:
 
     @property
     def now(self) -> float:
-        """Simulated seconds of audio emitted so far."""
-        return self.stats.audio_seconds
+        """Simulated seconds of audio emitted so far.
+
+        This is the carousel's clock.  ``stats.samples`` can trail it by
+        whatever a buffering channel holds back, so a frame stamped with
+        it carries that buffering as extra latency.
+        """
+        return self.source.samples_emitted / self.stats.sample_rate
 
     def step(self) -> bool:
         """Process one chunk; False once the source is exhausted."""

@@ -9,8 +9,9 @@ which makes it a robust timing reference.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy import signal
+
+from repro.dsp.filters import BlockConvolver
 
 __all__ = [
     "linear_chirp",
@@ -50,17 +51,14 @@ class StreamingCorrelator:
 
     Correlation scores are computed in fixed blocks anchored at absolute
     sample positions (``block = 16 * template_len`` score positions per
-    block), so every score's float value depends only on the capture
-    content — pushing the capture one sample at a time and pushing it as
-    a single array produce bit-identical scores.  The local-energy
-    normalisation uses a running cumulative sum carried across blocks by
-    sequential accumulation, exactly what one whole-array ``np.cumsum``
-    would compute.
-
-    Full blocks all share one FFT length, so the template's transform is
-    computed once here and reused every block — the overlap-save loop
-    then costs one forward and one inverse FFT per block, numerically
-    identical to per-block :func:`scipy.signal.fftconvolve` calls.
+    block) by a :class:`~repro.dsp.filters.BlockConvolver` over the
+    reversed template, so every score's float value depends only on the
+    capture content and equals a per-block
+    :func:`scipy.signal.fftconvolve` — pushing the capture one sample at
+    a time and pushing it as a single array produce bit-identical
+    scores.  The local-energy normalisation uses a running cumulative
+    sum carried across blocks by sequential accumulation, exactly what
+    one whole-array ``np.cumsum`` would compute.
     """
 
     def __init__(self, template: np.ndarray) -> None:
@@ -68,18 +66,11 @@ class StreamingCorrelator:
         if template.size == 0:
             raise ValueError("template must not be empty")
         self.template_len = template.size
-        self.block = 16 * template.size
-        self._template_rev = template[::-1].copy()
+        self._conv = BlockConvolver(template[::-1], 16 * template.size)
+        self.block = self._conv.block
         self._template_energy = float(np.sum(template * template))
-        # fftconvolve's transform length for a full block + the cached
-        # template spectrum at that length (fftconvolve recomputes it
-        # per call — the dominant cost of block-wise scoring).
-        seg_len = self.block + self.template_len - 1
-        self._fshape = sp_fft.next_fast_len(seg_len + self.template_len - 1, True)
-        self._template_rfft = sp_fft.rfft(self._template_rev, self._fshape)
         self._pending = np.zeros(0)  # samples not yet fully scored
         self._csum_carry = 0.0  # exact x*x prefix sum at the block base
-        self._last_csum: np.ndarray | None = None
         self.scored = 0  # absolute count of emitted score positions
 
     def push(self, chunk: np.ndarray) -> tuple[int, np.ndarray]:
@@ -87,47 +78,35 @@ class StreamingCorrelator:
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.size:
             self._pending = np.concatenate([self._pending, chunk])
-        start = self.scored
-        m = self.template_len
-        out: list[np.ndarray] = []
-        # A full block emits `block` scores from exactly block + m - 1
-        # samples; the trailing m - 1 samples overlap the next block.
-        while self._pending.size >= self.block + m - 1:
-            out.append(self._score_segment(self._pending[: self.block + m - 1]))
-            self._advance(self.block)
-        return start, (np.concatenate(out) if out else np.zeros(0))
+        return self._score(final=False)
 
     def flush(self) -> tuple[int, np.ndarray]:
         """Score the final partial block at end of capture."""
+        return self._score(final=True)
+
+    def _score(self, final: bool) -> tuple[int, np.ndarray]:
         start = self.scored
-        if self._pending.size < self.template_len:
-            return start, np.zeros(0)
-        scores = self._score_segment(self._pending)
-        self._advance(scores.size)
-        return start, scores
-
-    def _score_segment(self, seg: np.ndarray) -> np.ndarray:
         m = self.template_len
-        if seg.size == self.block + m - 1:
-            # Full block: same rfft length / product / irfft / centred
-            # slice as fftconvolve would use, with the template spectrum
-            # taken from the cache — bit-identical output.
-            spec = sp_fft.rfft(seg, self._fshape)
-            full = sp_fft.irfft(spec * self._template_rfft, self._fshape)
-            corr = full[m - 1 : seg.size].copy()
-        else:  # final partial block (flush)
-            corr = signal.fftconvolve(seg, self._template_rev, mode="valid")
-        csum = np.cumsum(np.concatenate([[self._csum_carry], seg * seg]))
-        self._last_csum = csum
-        local_energy = csum[m:] - csum[:-m]
-        denom = np.sqrt(np.maximum(local_energy * self._template_energy, 1e-20))
-        return corr / denom
-
-    def _advance(self, n_scores: int) -> None:
-        assert self._last_csum is not None
-        self._csum_carry = float(self._last_csum[n_scores])
-        self._pending = self._pending[n_scores:]
-        self.scored += n_scores
+        out: list[np.ndarray] = []
+        for corr in self._conv.batches(self._pending, final):
+            n = corr.size
+            seg = self._pending[: n + m - 1]
+            # cumsum(concat([[carry], seg * seg])) and
+            # corr / sqrt(max(energy * template_energy, 1e-20)), computed
+            # in place: the same element-wise arithmetic in two arrays
+            # instead of eight, which is what a streaming push pays for.
+            csum = np.empty(seg.size + 1)
+            csum[0] = self._csum_carry
+            np.multiply(seg, seg, out=csum[1:])
+            np.cumsum(csum, out=csum)
+            denom = csum[m:] - csum[:-m]
+            denom *= self._template_energy
+            np.sqrt(np.maximum(denom, 1e-20, out=denom), out=denom)
+            out.append(np.divide(corr, denom, out=denom))
+            self._csum_carry = float(csum[n])
+            self._pending = self._pending[n:]
+            self.scored += n
+        return start, (np.concatenate(out) if out else np.zeros(0))
 
 
 class StreamingPeakDetector:

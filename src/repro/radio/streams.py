@@ -13,12 +13,13 @@ flows through the channel in O(chunk) memory:
   chunking: reverb carries an input tail, flutter knots are drawn once
   in the batch RNG order, and noise is drawn sequentially.
 * :class:`FmLinkStream` — a streaming FM chain (audio -> multiplex ->
-  FM -> RF noise -> discriminator -> audio) built from stateful direct-
-  form FIRs and carry-over phase accumulators.  Its output is invariant
-  to the chunk size (RF noise is drawn in fixed absolute-index blocks),
-  though it is a distinct filter implementation from the whole-array
-  :meth:`FmRadioLink.transmit`, whose fftconvolve chain stays untouched
-  for the calibrated RSSI experiments.
+  FM -> RF noise -> discriminator -> audio) built from block-anchored
+  FFT overlap-save FIRs (:class:`StreamingFir`) and carry-over phase
+  accumulators.  Its output is invariant to the chunk size (filters
+  convolve fixed absolute-index blocks, RF noise is drawn in fixed
+  absolute-index blocks), though it is a distinct filter implementation
+  from the whole-array :meth:`FmRadioLink.transmit`, whose fftconvolve
+  chain stays untouched for the calibrated RSSI experiments.
 
 All streams share one interface: ``process(chunk) -> ndarray`` (may
 return fewer samples than consumed while filters fill) and
@@ -29,9 +30,8 @@ total input length).
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
-from repro.dsp.filters import fir_lowpass
+from repro.dsp.filters import BlockConvolver, fir_lowpass
 from repro.radio.channels import AcousticChannel, FmLinkConfig, FmRadioLink
 from repro.radio.multiplex import MultiplexConfig
 from repro.util.rng import derive_rng
@@ -156,11 +156,13 @@ class StreamingFir:
 
     ``lfilter`` with a carried state is *not* bit-reproducible across
     chunk boundaries (scipy's summation order differs near the start of
-    each call), so this filter uses the same technique as the streaming
-    preamble correlator: convolve in fixed blocks anchored at absolute
-    stream positions via ``fftconvolve(..., "valid")``.  Every output
+    each call), so this filter is overlap-save on a
+    :class:`~repro.dsp.filters.BlockConvolver`: the buffer it convolves
+    always starts ``taps - 1`` samples of context before a block
+    boundary anchored at an absolute stream position.  Every output
     sample is then computed from exactly the same input window with
-    exactly the same arithmetic no matter how the input was chunked.
+    exactly the same arithmetic no matter how the input was chunked, and
+    equals a per-block ``fftconvolve(..., "valid")`` bit for bit.
     The first ``(taps-1)//2`` outputs (the group delay) are dropped and
     the same number of zeros is flushed at the end, so the output is
     time-aligned with the input and equal in length, like
@@ -168,25 +170,21 @@ class StreamingFir:
     """
 
     def __init__(self, taps: np.ndarray, block: int | None = None) -> None:
-        self._taps = np.asarray(taps, dtype=np.float64)
-        m = self._taps.size
+        m = np.asarray(taps).size
         self.block = block if block is not None else max(4096, 4 * m)
+        self._conv = BlockConvolver(taps, self.block)
         self.delay = (m - 1) // 2
         self._to_drop = self.delay
-        self._context = np.zeros(m - 1)  # last taps-1 input samples
-        self._pending = np.zeros(0)
+        # The last taps-1 filtered inputs (the context), then the inputs
+        # not yet filtered.
+        self._buf = np.zeros(m - 1)
         self._flushed = False
 
-    def _filter_segment(self, seg: np.ndarray) -> np.ndarray:
-        """Causal outputs for ``seg`` given the carried left context."""
-        y = signal.fftconvolve(
-            np.concatenate([self._context, seg]), self._taps, mode="valid"
-        )
-        tail = np.concatenate([self._context, seg])[-(self._taps.size - 1) :]
-        self._context = tail
-        return y
-
-    def _emit(self, y: np.ndarray) -> np.ndarray:
+    def _filter(self, x: np.ndarray, final: bool = False) -> np.ndarray:
+        buf = np.concatenate([self._buf, x])
+        parts = list(self._conv.batches(buf, final))
+        y = np.concatenate(parts) if parts else np.zeros(0)
+        self._buf = buf[y.size :]
         if self._to_drop:
             n = min(self._to_drop, y.size)
             self._to_drop -= n
@@ -196,12 +194,7 @@ class StreamingFir:
     def process(self, x: np.ndarray) -> np.ndarray:
         if self._flushed:
             raise RuntimeError("filter already flushed")
-        self._pending = np.concatenate([self._pending, np.asarray(x, dtype=np.float64)])
-        outs: list[np.ndarray] = []
-        while self._pending.size >= self.block:
-            outs.append(self._emit(self._filter_segment(self._pending[: self.block])))
-            self._pending = self._pending[self.block :]
-        return np.concatenate(outs) if outs else np.zeros(0)
+        return self._filter(np.asarray(x, dtype=np.float64))
 
     def flush(self) -> np.ndarray:
         """Emit the buffered tail; total output length equals input."""
@@ -210,15 +203,7 @@ class StreamingFir:
         self._flushed = True
         # The delay-compensation zeros land at a position fixed by the
         # total input length alone, so the flush is chunk-invariant too.
-        tail = np.concatenate([self._pending, np.zeros(self.delay)])
-        self._pending = np.zeros(0)
-        outs: list[np.ndarray] = []
-        while tail.size >= self.block:
-            outs.append(self._emit(self._filter_segment(tail[: self.block])))
-            tail = tail[self.block :]
-        if tail.size:
-            outs.append(self._emit(self._filter_segment(tail)))
-        return np.concatenate(outs) if outs else np.zeros(0)
+        return self._filter(np.zeros(self.delay), final=True)
 
 
 class _Upsampler:
@@ -353,16 +338,18 @@ class FmLinkStream:
                     self._noise_seed, "fm-stream-noise", self._noise_stream, block_idx
                 )
                 raw = rng.normal(size=2 * NOISE_BLOCK)
-                self._noise_cache = (
-                    block_idx,
-                    raw[:NOISE_BLOCK] + 1j * raw[NOISE_BLOCK:],
-                )
+                # Scaling each part in place equals scaling the complex
+                # sum bit for bit: amp * (re + 0j) is exactly amp * re.
+                noise = np.empty(NOISE_BLOCK, dtype=np.complex128)
+                noise.real = self._noise_amp * raw[:NOISE_BLOCK]
+                noise.imag = self._noise_amp * raw[NOISE_BLOCK:]
+                self._noise_cache = (block_idx, noise)
             take = min(n - filled, NOISE_BLOCK - offset)
             out[filled : filled + take] = self._noise_cache[1][offset : offset + take]
             filled += take
             pos += take
         self._noise_pos = pos
-        return self._noise_amp * out
+        return out
 
     # -- chain stages ------------------------------------------------------
     # Each helper enters the chain at one hop so finish() can flush the

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "awgn channel" in out
         assert "peak rx buffer" in out
+
+    def test_stream_fm(self, capsys):
+        assert main([
+            "stream", "--hours", "0.002", "--pages", "4",
+            "--impairment", "fm", "--rssi-dbm", "-70",
+            "--progress-every", "1000",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "fm channel" in out
+        ok, decoded = re.search(r"frames: (\d+)/(\d+) ok", out).groups()
+        assert int(decoded) > 0 and int(ok) == int(decoded)
 
     def test_serve(self, tmp_path, capsys):
         ledger = tmp_path / "requests.sqlite"

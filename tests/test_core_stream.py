@@ -252,6 +252,27 @@ class TestStreamSession:
         assembler.push(rx.finish())
         assert assembler.pages_completed == 1
 
+    def test_clock_follows_emitted_audio_through_buffering_channel(self, modem):
+        """The FM stream holds samples back in its filter blocks; the
+        session clock still reads the carousel's, chunk for chunk."""
+        from repro.radio.channels import FmRadioLink
+
+        carousel = BroadcastCarousel(20_000)
+        data, frames = self._bundle_frames(0, seed=3)
+        carousel.enqueue(CarouselItem("page/0", len(data), frames=frames))
+        source = WaveformSource(
+            CarouselFrameSource(carousel, 8), modem, chunk_samples=4800
+        )
+        session = StreamSession(
+            source,
+            StreamingReceiver(modem, frames_per_burst=8),
+            channel=FmRadioLink(seed=2).stream(-70.0, peak_estimate=0.5),
+            carousel=carousel,
+        )
+        while session.step():
+            assert carousel._now == pytest.approx(session.now)
+            assert session.stats.audio_seconds < session.now  # held back
+
     def test_session_duration_limit(self, modem):
         src = WaveformSource(
             lambda: [f.to_bytes() for f in _frames(2)],

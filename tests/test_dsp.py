@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
-from repro.dsp.chirp import linear_chirp, matched_filter_peak
-from repro.dsp.filters import filter_signal, fir_bandpass, fir_lowpass, resample
+from repro.dsp.chirp import StreamingCorrelator, linear_chirp, matched_filter_peak
+from repro.dsp.filters import (
+    BATCH_ROWS,
+    BlockConvolver,
+    filter_signal,
+    fir_bandpass,
+    fir_lowpass,
+    resample,
+)
 from repro.dsp.spectrum import band_power_db, power_db, rms
+from tests.reference.streaming_dsp import StreamingCorrelatorRef
 
 
 class TestFilters:
@@ -62,6 +71,33 @@ class TestFilters:
         x = np.arange(10.0)
         assert np.array_equal(resample(x, 3, 3), x)
 
+    @pytest.mark.parametrize(
+        "num_taps,block", [(127, 4096), (511, 4096), (1920, 30_720), (5, 7)]
+    )
+    def test_block_convolver_rows_match_per_segment_fftconvolve(self, num_taps, block):
+        rng = np.random.default_rng(num_taps)
+        taps = rng.normal(size=num_taps)
+        conv = BlockConvolver(taps, block)
+        seg = block + num_taps - 1
+        n_batch = BATCH_ROWS + 3  # one full batch and a partial one
+        for size in (num_taps - 1, seg - 1, seg, seg + block // 2, seg + n_batch * block):
+            x = rng.normal(size=size)
+            n = max(0, (size - num_taps + 1) // block)
+            rows = [
+                signal.fftconvolve(x[k * block : k * block + seg], taps, mode="valid")
+                for k in range(n)
+            ]
+            rest = x[n * block :]
+            if rest.size >= num_taps:
+                rows.append(signal.fftconvolve(rest, taps, mode="valid"))
+            for final in (False, True):
+                got = list(conv.batches(x, final))
+                assert all(b.size <= BATCH_ROWS * block for b in got)
+                got = np.concatenate(got) if got else np.zeros(0)
+                want = rows if final else rows[:n]
+                want = np.concatenate(want) if want else np.zeros(0)
+                assert got.size == want.size and np.array_equal(got, want)
+
 
 class TestChirp:
     def test_duration_and_amplitude(self):
@@ -96,6 +132,26 @@ class TestChirp:
     def test_short_buffer(self):
         c = linear_chirp(2_000, 12_000, 0.02, 48_000)
         assert matched_filter_peak(c[:100], c) == []
+
+    def test_streaming_correlator_matches_per_block_reference(self):
+        c = linear_chirp(2_000, 12_000, 0.02, 48_000)
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 0.3, 200_000)
+        x[50_000 : 50_000 + c.size] += c
+        block = 16 * c.size
+        chunkings = ([x.size], [4800], [block - 1, block + 1, 3 * block], [1, 997])
+        for sizes in chunkings:
+            got, want = StreamingCorrelator(c), StreamingCorrelatorRef(c)
+            i = k = 0
+            while i < x.size:
+                step = int(sizes[k % len(sizes)])
+                k += 1
+                (s0, a), (s1, b) = got.push(x[i : i + step]), want.push(x[i : i + step])
+                assert s0 == s1 and a.size == b.size and np.array_equal(a, b)
+                i += step
+            (s0, a), (s1, b) = got.flush(), want.flush()
+            assert s0 == s1 and a.size == b.size and np.array_equal(a, b)
+            assert got.scored == x.size - c.size + 1
 
 
 class TestSpectrum:

@@ -9,6 +9,10 @@ Two distinct guarantees, per stream:
   bit-identical output) and length-preserving, with the same threshold
   behaviour as the batch link; it is a streaming FM chain in its own
   right, not pinned to ``FmRadioLink.transmit``'s whole-array numerics.
+
+``StreamingFir`` and ``FmLinkStream`` also equal the per-block
+``fftconvolve`` references in ``tests/reference`` bit for bit, and so
+does the length of every ``process()``/``flush()``/``finish()`` return.
 """
 
 import numpy as np
@@ -17,10 +21,16 @@ import pytest
 from repro.modem.modem import Modem
 from repro.modem.streaming import StreamingReceiver
 from repro.radio.channels import AcousticChannel, FmRadioLink
-from repro.radio.streams import AwgnStream, StreamingFir
+from repro.radio.streams import NOISE_BLOCK, AwgnStream, StreamingFir
+from tests.reference.streaming_dsp import (
+    StreamingFirRef,
+    fm_link_stream_ref,
+    fm_noise_ref,
+)
 
 
-def _run_chunked(stream, wave, sizes):
+def _returns(stream, wave, sizes):
+    """Every ``process()`` return, then the flushed tail."""
     out = []
     i = 0
     k = 0
@@ -30,10 +40,18 @@ def _run_chunked(stream, wave, sizes):
         out.append(stream.process(wave[i : i + step]))
         i += step
     # Channel streams end with finish(); bare filters with flush().
-    tail = stream.finish() if hasattr(stream, "finish") else stream.flush()
-    if tail.size:
-        out.append(tail)
-    return np.concatenate(out)
+    out.append(stream.finish() if hasattr(stream, "finish") else stream.flush())
+    return out
+
+
+def _run_chunked(stream, wave, sizes):
+    return np.concatenate(_returns(stream, wave, sizes))
+
+
+def _assert_same_returns(got, want):
+    assert [r.size for r in got] == [r.size for r in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +116,26 @@ class TestAcousticStream:
 class TestStreamingFir:
     def test_chunk_invariant_and_matches_block_anchored_filter(self):
         rng = np.random.default_rng(9)
-        taps = rng.normal(size=127)
         x = rng.normal(size=50_000)
-        outs = []
-        for sizes in ([x.size], [997], [1, 17, 4800]):
-            fir = StreamingFir(taps)
-            outs.append(_run_chunked(fir, x, sizes))
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
-        # Group delay compensated: output aligns with the input length.
-        assert outs[0].size == x.size
+        chunkings = (
+            [x.size],
+            [997],
+            [1, 17, 4800],
+            [1],
+            [20_000, 3],  # pushes spanning many 4096-sample blocks
+            rng.integers(1, 12_000, size=16),
+        )
+        for num_taps in (127, 511):  # the FM chain's two filter lengths
+            taps = rng.normal(size=num_taps)
+            outs = []
+            for sizes in chunkings:
+                got = _returns(StreamingFir(taps), x, sizes)
+                _assert_same_returns(got, _returns(StreamingFirRef(taps), x, sizes))
+                outs.append(np.concatenate(got))
+            for other in outs[1:]:
+                assert np.array_equal(outs[0], other)
+            # Group delay compensated: output aligns with the input length.
+            assert outs[0].size == x.size
 
     def test_delay_compensation_centres_impulse(self):
         taps = np.zeros(31)
@@ -124,13 +152,25 @@ class TestFmLinkStream:
     def test_chunk_invariance(self, burst):
         _, wave, _ = burst
         peak = float(np.max(np.abs(wave)))
-        outs = []
-        for sizes in ([wave.size], [4800], [997], [17]):
-            stream = FmRadioLink(seed=13).stream(-70.0, peak_estimate=peak)
-            outs.append(_run_chunked(stream, wave, sizes))
-        for other in outs[1:]:
-            assert np.array_equal(outs[0], other)
-        assert outs[0].size == wave.size
+        for rssi_dbm in (-70.0, -80.0, -95.0):
+            outs = []
+            for sizes in ([wave.size], [4800], [997], [17]):
+                stream = FmRadioLink(seed=13).stream(rssi_dbm, peak_estimate=peak)
+                got = _returns(stream, wave, sizes)
+                ref = fm_link_stream_ref(FmRadioLink(seed=13), rssi_dbm, peak)
+                _assert_same_returns(got, _returns(ref, wave, sizes))
+                outs.append(np.concatenate(got))
+            for other in outs[1:]:
+                assert np.array_equal(outs[0], other)
+            assert outs[0].size == wave.size
+
+    def test_noise_blocks_match_scaled_complex_sum(self):
+        stream = FmRadioLink(seed=5).stream(-80.0)
+        ref = fm_link_stream_ref(FmRadioLink(seed=5), -80.0, 1.0)
+        for n in (1, 4_999, NOISE_BLOCK, 2 * NOISE_BLOCK + 7, 300):
+            assert np.array_equal(stream._noise(n), ref._noise(n))
+        assert stream._noise_pos == ref._noise_pos
+        assert ref._noise.__func__ is fm_noise_ref
 
     def test_decodes_at_good_rssi_not_at_bad(self, burst):
         modem, wave, payloads = burst
