@@ -26,8 +26,8 @@ retries) advances only at tick boundaries, and requests are processed in
 arrival order within a tick, so *any* partitioning of the request stream
 into dispatch batches — including the degenerate one-request-at-a-time
 serial mode — produces a bit-identical ledger.  That is the batched
-analogue of the fleet simulator's counter-RNG chunk invariance, and the
-``repro bench`` gate checks it on every run.
+analogue of the fleet simulator's counter-RNG chunk invariance, and
+``tests/test_server_frontend.py`` pins it for every batch size.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import re
 
 import numpy as np
@@ -167,6 +168,43 @@ class TestCli:
         reopened = RequestLedger(ledger)
         assert sum(reopened.reconcile().values()) == 3000
         reopened.close()
+
+    def test_network_sharded_verify_json(self, tmp_path, capsys):
+        report = tmp_path / "stations.json"
+        assert main([
+            "network", "--stations", "3", "--hours", "6", "--tick-s", "120",
+            "--seed", "42", "--sharded", "--processes", "1", "--verify",
+            "--json", str(report),
+        ]) == 0
+        assert "serial == sharded" in capsys.readouterr().out
+        stations = json.loads(report.read_text())["stations"]
+        assert len(stations) == 3
+        assert all(s["ledger_digest"] for s in stations)
+
+    def test_tournament_frontier_json_and_svg(self, tmp_path, capsys):
+        from tests.test_sim_tournament import TINY
+
+        def grid(key):
+            return ",".join(str(v) for v in TINY[key])
+
+        frontier_json = tmp_path / "frontier.json"
+        frontier_svg = tmp_path / "frontier.svg"
+        assert main([
+            "tournament",
+            f"--snr-db={grid('snr_grid_db')}",
+            f"--distance-m={grid('distance_grid_m')}",
+            f"--rssi-dbm={grid('rssi_grid_dbm')}",
+            "--payload-bytes", str(TINY["payload_bytes"]),
+            "--messages", str(TINY["n_messages"]),
+            "--seed", str(TINY["master_seed"]),
+            "--processes", "1",
+            "--json", str(frontier_json), "--svg", str(frontier_svg),
+        ]) == 0
+        assert frontier_svg.exists()
+        frontier = json.loads(frontier_json.read_text())["frontier"]
+        assert {row["profile"] for row in frontier} == {
+            "sonic-ofdm", "fsk", "gmsk", "audioqr",
+        }
 
     def test_serve_serial_mode(self, capsys):
         assert main([

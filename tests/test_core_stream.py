@@ -22,7 +22,7 @@ from repro.modem.streaming import StreamingReceiver
 from repro.server.transmitters import BroadcastEncodeCache
 from repro.transport.bundle import BundleTransport
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
-from repro.transport.framing import Frame, FrameHeader, FrameType
+from repro.transport.framing import PAYLOAD_SIZE, Frame, FrameHeader, FrameType
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def _frames(n, page_id=1, seed=0):
     return [
         Frame(
             FrameHeader(FrameType.BUNDLE_BYTES, page_id=page_id, seq=i, total=n),
-            rng.integers(0, 256, 83, dtype=np.uint8).tobytes(),
+            rng.integers(0, 256, PAYLOAD_SIZE, dtype=np.uint8).tobytes(),
         )
         for i in range(n)
     ]
@@ -107,6 +107,27 @@ class TestWaveformSource:
         limit = modem.burst_samples(16) + modem.profile.guard_samples + 4800
         for _ in src:
             assert src.buffered_samples <= limit
+
+    def test_receiver_buffer_does_not_grow_with_the_broadcast(self, modem):
+        """Chunked decode holds about one burst, however long the capture."""
+        peaks = []
+        for n_bursts in (2, 4):
+            supply = iter(
+                [[f.to_bytes() for f in _frames(16, seed=s)] for s in range(n_bursts)]
+            )
+            wave = WaveformSource(
+                lambda: next(supply, None), modem, chunk_samples=4800
+            ).read_all()
+            rx = StreamingReceiver(modem, frames_per_burst=16)
+            n_ok = sum(
+                f.ok
+                for i in range(0, wave.size, 4800)
+                for f in rx.push(wave[i : i + 4800])
+            )
+            n_ok += sum(f.ok for f in rx.finish())
+            assert n_ok == 16 * n_bursts
+            peaks.append(rx.max_buffer_samples)
+        assert peaks[0] == peaks[1] < 2 * modem.burst_samples(16)
 
     def test_burst_cache_dedupes_repeat_bursts(self, modem):
         payloads = [f.to_bytes() for f in _frames(16)]

@@ -183,6 +183,19 @@ class TestRateLadder:
         with pytest.raises(KeyError):
             result.station("atlantis")
 
+    def test_busy_day_keeps_every_station_above_half_the_slowest_rung(self):
+        # Demand keeps every carousel busy, so each station broadcasts
+        # and sustains at least half the slowest rung's payload rate.
+        # Goodput is simulated bytes over simulated time: deterministic.
+        result = run_network(
+            NetworkConfig(n_stations=3, hours=6, tick_s=120.0, seed=42)
+        )
+        floor_bps = 0.5 * min(rate for _, rate, _, _ in DEFAULT_PROFILE_LADDER)
+        assert len(result.stations) == 3
+        for s in result.stations:
+            assert s.n_broadcast > 0, s.station_id
+            assert s.goodput_bps >= floor_bps, s.station_id
+
 
 class TestDemandLoop:
     def test_ledger_counts_feed_scheduler(self):
