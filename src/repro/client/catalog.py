@@ -59,6 +59,3 @@ class Catalog:
         return sorted(
             self.entries(now), key=lambda e: (-e.view_count, -e.received_at)
         )
-
-    def most_recent(self, now: float, n: int = 10) -> list[CatalogEntry]:
-        return sorted(self.entries(now), key=lambda e: -e.received_at)[:n]

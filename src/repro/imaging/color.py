@@ -12,26 +12,6 @@ __all__ = [
     "upsample_420",
 ]
 
-# Per-channel lookup tables: lut[k] holds coeff * k (or 128 + coeff * k)
-# for every uint8 value, so conversion is three gathers + two adds per
-# plane.  Each table entry is the identical float64 product the direct
-# formula computes, and the adds happen in the same left-to-right order,
-# so ycbcr_planes() is bit-identical to rgb_to_ycbcr().
-_LUTS: tuple[np.ndarray, ...] | None = None
-
-
-def _luts() -> tuple[np.ndarray, ...]:
-    global _LUTS
-    if _LUTS is None:
-        k = np.arange(256, dtype=np.float64)
-        _LUTS = (
-            0.299 * k, 0.587 * k, 0.114 * k,  # y = (r + g) + b
-            128.0 - 0.168736 * k, 0.331264 * k, 0.5 * k,  # cb = (r - g) + b
-            128.0 + 0.5 * k, 0.418688 * k, 0.081312 * k,  # cr = (r - g) - b
-        )
-    return _LUTS
-
-
 # Pair tables: entry (r << 8) | g holds the correctly-rounded partial
 # sums (yr+yg, cbr-cbg, crr-crg) for that red/green combination, so the
 # whole conversion is two gathers and one add.  The table stores the

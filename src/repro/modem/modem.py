@@ -116,20 +116,6 @@ class Modem:
             ]
         )
 
-    def transmit_frames(
-        self, payloads: list[bytes], gap_s: float = 0.01
-    ) -> np.ndarray:
-        """Concatenate individually-preambled frames with silent gaps."""
-        if not payloads:
-            return np.zeros(0)
-        gap = np.zeros(int(gap_s * self.profile.ofdm.sample_rate))
-        parts: list[np.ndarray] = []
-        for i, payload in enumerate(payloads):
-            if i:
-                parts.append(gap)
-            parts.append(self.transmit_frame(payload))
-        return np.concatenate(parts)
-
     def burst_samples(self, n_frames: int) -> int:
         """Audio samples occupied by an ``n_frames`` burst."""
         return (
@@ -218,7 +204,3 @@ class Modem:
         # Bursts are contiguous, so everything up to the last energetic
         # slot is payload — single flutter dips must not truncate it.
         return int(above[-1]) + 1
-
-    def receive_payloads(self, samples: np.ndarray) -> list[bytes | None]:
-        """Convenience wrapper returning just the payloads (None = lost)."""
-        return [frame.payload for frame in self.receive(samples)]

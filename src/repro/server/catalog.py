@@ -1,11 +1,12 @@
-"""Catalog-scale render/encode pipeline over a multiprocessing pool.
+"""Catalog-scale render/encode pipeline over a worker pool.
 
 The paper's server re-renders its top-100 catalog every hour (Figure
 4(c)); at production widths a single page costs render + DCT + entropy
 coding, so the catalog is embarrassingly parallel work.  This module
-fans the misses out over a ``multiprocessing`` pool while a
-:class:`~repro.server.cache.BundleStore` short-circuits everything that
-was already encoded — the same split as :mod:`repro.sim.receivers`:
+fans the misses out over a :class:`~repro.util.parallel.WorkerPool`
+while a :class:`~repro.server.cache.BundleStore` short-circuits
+everything that was already encoded — the same split as
+:mod:`repro.sim.receivers`:
 
 * each worker process builds one :class:`~repro.web.sites.SiteGenerator`
   and one :class:`~repro.web.render.PageRenderer` at start-up and reuses
@@ -19,14 +20,13 @@ was already encoded — the same split as :mod:`repro.sim.receivers`:
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.server.cache import BundleStore, bundle_key
 from repro.transport.bundle import PageBundle
+from repro.util.parallel import WorkerPool, worker_count
 from repro.web.render import PageRenderer
 from repro.web.sites import SiteGenerator
 
@@ -83,24 +83,25 @@ class CatalogResult:
         return sum(1 for p in self.pages if not p.from_store)
 
     @property
-    def total_bytes(self) -> int:
-        return sum(len(p.data) for p in self.pages)
-
-    @property
     def pages_per_s(self) -> float:
         return self.n_pages / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
-def _render_encode(
-    generator: SiteGenerator,
-    renderer: PageRenderer,
-    config: CatalogConfig,
-    url: str,
-    hour: int,
-) -> bytes:
+def _render_state(
+    config: CatalogConfig, generator: SiteGenerator | None = None
+) -> tuple[SiteGenerator, PageRenderer, CatalogConfig]:
+    """One renderer's state, built once and kept warm across pages."""
+    if generator is None:
+        generator = SiteGenerator(seed=config.seed, n_sites=config.n_sites)
+    renderer = PageRenderer(width=config.width, max_height=config.max_height)
+    return generator, renderer, config
+
+
+def _render_encode(state: tuple, page: tuple[str, int]) -> bytes:
     """Render + encode one page — the pure function both paths share."""
-    page = generator.page(url, hour)
-    result = renderer.render(page)
+    generator, renderer, config = state
+    url, hour = page
+    result = renderer.render(generator.page(url, hour))
     bundle = PageBundle(
         url,
         result.image,
@@ -109,108 +110,6 @@ def _render_encode(
         quality=config.quality,
     )
     return bundle.to_bytes()
-
-
-# Per-worker state, built once per pool process (plain module globals,
-# mirroring repro.sim.receivers).
-_worker_generator: SiteGenerator | None = None
-_worker_renderer: PageRenderer | None = None
-_worker_config: CatalogConfig | None = None
-
-
-def _init_worker(config: CatalogConfig) -> None:
-    global _worker_generator, _worker_renderer, _worker_config
-    _worker_config = config
-    _worker_generator = SiteGenerator(seed=config.seed, n_sites=config.n_sites)
-    _worker_renderer = PageRenderer(width=config.width, max_height=config.max_height)
-
-
-def _encode_worker(args: tuple[str, int]) -> bytes:
-    url, hour = args
-    assert _worker_generator is not None and _worker_renderer is not None
-    assert _worker_config is not None
-    return _render_encode(_worker_generator, _worker_renderer, _worker_config, url, hour)
-
-
-def _encode_worker_indexed(args: tuple[int, str, int]) -> tuple[int, bytes]:
-    """Tagged variant for ``imap_unordered``: results carry their slot."""
-    i, url, hour = args
-    return i, _encode_worker((url, hour))
-
-
-class _InlineResult:
-    """Lazy in-process stand-in for ``multiprocessing``'s AsyncResult.
-
-    The render runs on the first call to :meth:`wait` or :meth:`get` —
-    for the front end that is the commit of the cohort that asked for
-    it, so a speculative render nobody harvests costs nothing.  A lock
-    keeps first-caller-renders safe if a handle shared between
-    overlapping jobs is waited on from two threads.
-    """
-
-    def __init__(self, encode, args: tuple[str, int]) -> None:
-        self._encode = encode
-        self._args = args
-        self._lock = threading.Lock()
-        self._value: bytes | None = None
-        self._done = False
-
-    def _run(self) -> None:
-        with self._lock:
-            if not self._done:
-                self._value = self._encode(self._args)
-                self._done = True
-
-    def wait(self, timeout: float | None = None) -> None:
-        self._run()
-
-    def ready(self) -> bool:
-        return self._done
-
-    def get(self, timeout: float | None = None) -> bytes:
-        self._run()
-        assert self._value is not None
-        return self._value
-
-
-class _InlinePool:
-    """In-process persistent worker, for hosts where one CPU is all there is.
-
-    Subprocess workers cannot add parallelism on a single core — they
-    only add fork, pickle, and queue latency — so :meth:`CatalogPipeline.start`
-    resolving to one worker keeps the warm generator/renderer state in
-    this process instead.  Work is deferred into :class:`_InlineResult`
-    handles, which also makes unharvested speculative prefetches free.
-    Implements exactly the slice of the ``Pool`` API the pipeline uses.
-    """
-
-    def __init__(self, config: CatalogConfig) -> None:
-        self._generator = SiteGenerator(seed=config.seed, n_sites=config.n_sites)
-        self._renderer = PageRenderer(
-            width=config.width, max_height=config.max_height
-        )
-        self._config = config
-
-    def _encode(self, args: tuple[str, int]) -> bytes:
-        url, hour = args
-        return _render_encode(
-            self._generator, self._renderer, self._config, url, hour
-        )
-
-    # ``func`` is always one of this module's worker shims, whose state
-    # lives in these bound generator/renderer instead of pool globals.
-    def apply_async(self, func, args) -> _InlineResult:
-        return _InlineResult(self._encode, args[0])
-
-    def imap_unordered(self, func, iterable, chunksize: int = 1):
-        for i, url, hour in iterable:
-            yield i, self._encode((url, hour))
-
-    def terminate(self) -> None:
-        pass
-
-    def join(self) -> None:
-        pass
 
 
 class CatalogJob:
@@ -225,7 +124,7 @@ class CatalogJob:
     def __init__(self, pipeline: "CatalogPipeline", hour: int, entries: list) -> None:
         self._pipeline = pipeline
         self.hour = hour
-        # (url, key, epoch, bytes | AsyncResult | None, from_store)
+        # (url, key, epoch, bytes | Future | None, from_store)
         self._entries = entries
         self._result: CatalogResult | None = None
         self._t0 = time.perf_counter()
@@ -235,16 +134,16 @@ class CatalogJob:
         if self._result is not None:
             return True
         return all(
-            payload is None or isinstance(payload, bytes) or payload.ready()
+            not isinstance(payload, Future) or payload.done()
             for _, _, _, payload, _ in self._entries
         )
 
     def wait(self) -> None:
-        """Block until every miss has rendered.  Only waits on pool
-        events, touching no pipeline state."""
+        """Block until every miss has rendered.  Only waits on the pool,
+        touching no pipeline state."""
         for _, _, _, payload, _ in self._entries:
-            if payload is not None and not isinstance(payload, bytes):
-                payload.wait()
+            if isinstance(payload, Future):
+                payload.result()
 
     def result(self) -> CatalogResult:
         """Commit: collect every page (blocking if needed) and put misses
@@ -261,14 +160,12 @@ class CatalogJob:
                 data = pipeline.store.get(key)  # an earlier job may have landed it
                 if data is None:
                     data = pipeline._encode_serial(url, self.hour)
-            elif isinstance(payload, bytes):
-                data = payload
             else:
-                data = payload.get()
+                data = payload.result()
                 pipeline._pending.pop(key, None)
             pipeline.store.put(key, data)
             pages.append(CatalogPage(url, epoch, key, data, False))
-        processes = pipeline._pool_processes if pipeline.persistent else 1
+        processes = pipeline._pool.processes if pipeline.persistent else 1
         self._result = CatalogResult(
             tuple(pages), processes, time.perf_counter() - self._t0
         )
@@ -280,11 +177,11 @@ class CatalogPipeline:
 
     :meth:`start` attaches a persistent worker pool — each worker builds
     its :class:`SiteGenerator`/:class:`PageRenderer` once and keeps its
-    raster caches warm across every subsequent call.  Completion is
-    out-of-order (``imap_unordered``) but commits happen in slot order,
-    so results stay byte-identical to serial.  With a pool attached the
-    pipeline also overlaps :meth:`submit_catalog` jobs with the caller
-    and runs speculative :meth:`prefetch`.
+    raster caches warm across every subsequent call.  Renders finish in
+    any order but commits happen in slot order, so results stay
+    byte-identical to serial.  With a pool attached the pipeline also
+    overlaps :meth:`submit_catalog` jobs with the caller and runs
+    speculative :meth:`prefetch`.
     """
 
     def __init__(
@@ -298,10 +195,9 @@ class CatalogPipeline:
         self.generator = generator or SiteGenerator(
             seed=config.seed, n_sites=config.n_sites
         )
-        self._renderer: PageRenderer | None = None  # lazy; serial path only
-        self._pool: multiprocessing.pool.Pool | _InlinePool | None = None
-        self._pool_processes = 0
-        self._pending: dict[str, multiprocessing.pool.AsyncResult | _InlineResult] = {}
+        self._serial: tuple | None = None  # lazy; pool-less renders only
+        self._pool: WorkerPool | None = None
+        self._pending: dict[str, Future] = {}
         self._prefetch_keys: set[str] = set()
         self.prefetch_submitted = 0
         self.prefetch_used = 0
@@ -311,20 +207,13 @@ class CatalogPipeline:
     def start(self, processes: int | None = None) -> "CatalogPipeline":
         """Attach the persistent worker pool (idempotent).
 
-        ``processes=None`` sizes the pool to the host; a resolved count
-        of one skips subprocesses entirely and serves jobs from an
-        in-process :class:`_InlinePool` with the same warm-worker
-        semantics.
+        ``processes=None`` sizes the pool to the host.  A pool of one
+        process keeps the warm generator/renderer in this process and
+        renders each page at the first commit that needs it, so an
+        unharvested speculative prefetch costs nothing.
         """
         if self._pool is None:
-            n = max(1, int(processes if processes is not None else os.cpu_count() or 1))
-            if n == 1:
-                self._pool = _InlinePool(self.config)
-            else:
-                self._pool = multiprocessing.Pool(
-                    n, initializer=_init_worker, initargs=(self.config,)
-                )
-            self._pool_processes = n
+            self._pool = WorkerPool(worker_count(processes), _render_state, self.config)
         return self
 
     @property
@@ -334,10 +223,8 @@ class CatalogPipeline:
     def close(self) -> None:
         """Tear down the pool, abandoning any un-harvested prefetches."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.close()
             self._pool = None
-            self._pool_processes = 0
             self._pending.clear()
             self._prefetch_keys.clear()
 
@@ -357,11 +244,9 @@ class CatalogPipeline:
         return key, epoch
 
     def _encode_serial(self, url: str, hour: int) -> bytes:
-        if self._renderer is None:
-            self._renderer = PageRenderer(
-                width=self.config.width, max_height=self.config.max_height
-            )
-        return _render_encode(self.generator, self._renderer, self.config, url, hour)
+        if self._serial is None:
+            self._serial = _render_state(self.config, self.generator)
+        return _render_encode(self._serial, (url, hour))
 
     def encode_page(self, url: str, hour: int = 0) -> CatalogPage:
         """One page through the store-backed pipeline (always serial)."""
@@ -381,89 +266,40 @@ class CatalogPipeline:
     ) -> CatalogResult:
         """Encode all (or the given) catalog URLs as they appear at ``hour``.
 
-        ``processes=None`` picks ``min(misses, cpu_count)``;
-        ``processes<=1`` (or a single miss) runs serially in this
-        process.  Without a started pool, more processes start one for
-        this call only.  Either way the resulting bundle bytes are
-        identical, and every miss lands in the store for the next
-        hour/run to reuse.
+        With a started pool this is ``submit_catalog(urls, hour).result()``.
+        Otherwise ``processes=None`` picks ``min(misses, cpu_count)``;
+        one process (or a single miss) runs serially in this process,
+        and more start a pool for this call only.  Either way the
+        resulting bundle bytes are identical, and every miss lands in
+        the store for the next hour/run to reuse.
         """
         urls = list(urls) if urls is not None else self.generator.all_urls()
+        if self._pool is not None:
+            return self.submit_catalog(urls, hour).result()
         t0 = time.perf_counter()
         keyed = [self.page_key(url, hour) for url in urls]
-        pages: list[CatalogPage | None] = []
-        misses: list[int] = []
-        for i, (url, (key, epoch)) in enumerate(zip(urls, keyed)):
-            data = self.store.get(key)
-            if data is None:
-                pages.append(None)
-                misses.append(i)
-            else:
-                pages.append(CatalogPage(url, epoch, key, data, True))
-
-        if self._pool is not None:
-            processes = self._pool_processes
-        else:
-            if processes is None:
-                processes = min(len(misses), os.cpu_count() or 1)
-            processes = max(1, int(processes))
-
-        if misses:
-            if self._pool is None and (processes == 1 or len(misses) == 1):
-                encoded = [self._encode_serial(urls[i], hour) for i in misses]
-            elif self._pool is not None:
-                encoded = self._encode_misses_pool(urls, keyed, misses, hour)
-            else:
-                self.start(processes)
-                try:
-                    encoded = self._encode_misses_pool(urls, keyed, misses, hour)
-                finally:
-                    self.close()
-            # Commit in slot order regardless of completion order: the
-            # store sees the same put sequence as the serial path.
-            for i, data in zip(misses, encoded):
-                key, epoch = keyed[i]
-                self.store.put(key, data)
-                pages[i] = CatalogPage(urls[i], epoch, key, data, False)
-
-        done = [p for p in pages if p is not None]
-        assert len(done) == len(urls)
-        return CatalogResult(tuple(done), processes, time.perf_counter() - t0)
-
-    def _encode_misses_pool(
-        self,
-        urls: list[str],
-        keyed: list[tuple[str, int]],
-        misses: list[int],
-        hour: int,
-    ) -> list[bytes]:
-        """Misses through the persistent pool, back in slot order.
-
-        In-flight prefetches/submissions for the same key are harvested
-        instead of re-rendered; the rest stream through
-        ``imap_unordered`` and are reordered parent-side.
-        """
-        assert self._pool is not None
-        out: dict[int, bytes] = {}
-        todo: list[int] = []
+        # Sized with a containment check, which leaves the store's
+        # hit/miss counters to the one lookup per page below.
+        processes = worker_count(
+            processes, sum(key not in self.store for key, _ in keyed)
+        )
+        if processes > 1:
+            with self.start(processes):
+                return self.submit_catalog(urls, hour).result()
+        found = [self.store.get(key) for key, _ in keyed]
+        misses = [i for i, data in enumerate(found) if data is None]
         for i in misses:
-            key = keyed[i][0]
-            pending = self._pending.pop(key, None)
-            if pending is not None:
-                if key in self._prefetch_keys:
-                    self._prefetch_keys.discard(key)
-                    self.prefetch_used += 1
-                out[i] = pending.get()
-            else:
-                todo.append(i)
-        if todo:
-            for i, data in self._pool.imap_unordered(
-                _encode_worker_indexed,
-                [(i, urls[i], hour) for i in todo],
-                chunksize=1,
-            ):
-                out[i] = data
-        return [out[i] for i in misses]
+            found[i] = self._encode_serial(urls[i], hour)
+        # Every encode first, then the puts in slot order: the store sees
+        # the same access sequence as a pooled run.
+        for i in misses:
+            self.store.put(keyed[i][0], found[i])
+        missed = set(misses)
+        pages = tuple(
+            CatalogPage(url, epoch, key, data, i not in missed)
+            for i, (url, (key, epoch), data) in enumerate(zip(urls, keyed, found))
+        )
+        return CatalogResult(pages, 1, time.perf_counter() - t0)
 
     # -- asynchronous jobs + speculative prefetch -----------------------------
 
@@ -475,8 +311,8 @@ class CatalogPipeline:
         :meth:`CatalogJob.result`.  Without a pool the job renders its
         misses at commit time — same outcome, no overlap.
         """
-        urls = list(urls)
-        entries = []
+        entries: list = []
+        job = CatalogJob(self, hour, entries)  # its clock starts here
         for url in urls:
             key, epoch = self.page_key(url, hour)
             data = self.store.get(key)
@@ -487,13 +323,13 @@ class CatalogPipeline:
             if self._pool is not None:
                 payload = self._pending.get(key)
                 if payload is None:
-                    payload = self._pool.apply_async(_encode_worker, ((url, hour),))
+                    payload = self._pool.submit(_render_encode, (url, hour))
                     self._pending[key] = payload
                 elif key in self._prefetch_keys:
                     self._prefetch_keys.discard(key)
                     self.prefetch_used += 1
             entries.append((url, key, epoch, payload, False))
-        return CatalogJob(self, hour, entries)
+        return job
 
     def prefetch(self, urls: list[str], hour: int) -> int:
         """Queue speculative renders of ``urls`` as they appear at ``hour``.
@@ -510,9 +346,7 @@ class CatalogPipeline:
             key, _ = self.page_key(url, hour)
             if key in self._pending or key in self.store:
                 continue
-            self._pending[key] = self._pool.apply_async(
-                _encode_worker, ((url, hour),)
-            )
+            self._pending[key] = self._pool.submit(_render_encode, (url, hour))
             self._prefetch_keys.add(key)
             self.prefetch_submitted += 1
             queued += 1
@@ -521,9 +355,9 @@ class CatalogPipeline:
     def drain_prefetch(self, block: bool = False) -> int:
         """Move finished speculative renders into the store; returns count."""
         done = 0
-        for key, handle in list(self._pending.items()):
-            if block or handle.ready():
-                data = handle.get()
+        for key, future in list(self._pending.items()):
+            if block or future.done():
+                data = future.result()
                 if key not in self.store:
                     self.store.put(key, data)
                 del self._pending[key]

@@ -100,10 +100,6 @@ class FrontendStats:
     def coalesce_ratio(self) -> float:
         return self.coalesced / self.submitted if self.submitted else 0.0
 
-    @property
-    def shed_ratio(self) -> float:
-        return self.shed / self.submitted if self.submitted else 0.0
-
 
 class PageResolver(Protocol):
     """What the dispatcher needs from the page-production layer."""
@@ -311,11 +307,6 @@ class FrontendResult:
     @property
     def requests_per_s(self) -> float:
         return self.n_requests / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def store_hit_rate(self) -> float:
-        total = self.store_hits + self.store_misses
-        return self.store_hits / total if total else 0.0
 
     @property
     def served_fraction(self) -> float:

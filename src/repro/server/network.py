@@ -33,7 +33,6 @@ walks down the rate ladder (see ``tests/test_server_network.py``).
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +56,7 @@ from repro.sim.geometry import (
 from repro.sim.workload import PageSizeModel, RequestTraceConfig, generate_requests
 from repro.sms.protocol import LinkReport
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
+from repro.util.parallel import WorkerPool, worker_count
 from repro.util.rng import derive_key, derive_rng
 from repro.web.sites import SiteGenerator
 
@@ -444,9 +444,19 @@ def _step_station_epoch(
     return ops
 
 
-def _epoch_worker(payload: tuple) -> tuple[_SimCore, list[tuple]]:
+def _epoch_params(cfg: NetworkConfig) -> tuple:
+    """Per-worker state: the run-wide arguments of ``_step_station_epoch``."""
+    return (
+        cfg.tick_s,
+        cfg.max_backlog_bytes,
+        cfg.link_report_frames,
+        max(1, int(cfg.profile_deadline_s // cfg.tick_s)),
+    )
+
+
+def _epoch_worker(params: tuple, payload: tuple) -> tuple[_SimCore, list[tuple]]:
     core, args = payload
-    ops = _step_station_epoch(core, *args)
+    ops = _step_station_epoch(core, *args, *params)
     return core, ops
 
 
@@ -673,15 +683,8 @@ class BroadcastNetwork:
         cursors = {sid: 0 for sid in station_ids}
         schedule_digests: list[str] = []
 
-        if processes is None:
-            processes = multiprocessing.cpu_count()
-        processes = max(1, min(processes, len(station_ids)))
-        pool = (
-            multiprocessing.Pool(processes)
-            if sharded and processes > 1
-            else None
-        )
-        try:
+        processes = worker_count(processes, len(station_ids)) if sharded else 1
+        with WorkerPool(processes, _epoch_params, cfg) as pool:
             for epoch in range(cfg.hours):
                 sizes, versions = self._epoch_pages(epoch)
                 allocations = self.scheduler.rebalance(epoch)
@@ -729,24 +732,17 @@ class BroadcastNetwork:
                                 np.arange(lo, hi),
                                 sizes,
                                 versions,
-                                cfg.tick_s,
-                                cfg.max_backlog_bytes,
-                                cfg.link_report_frames,
-                                max(1, int(cfg.profile_deadline_s // cfg.tick_s)),
                             ),
                         )
                     )
 
-                if pool is not None:
-                    stepped = pool.map(_epoch_worker, payloads)
-                elif sharded:
-                    # Inline sharding: a different execution order must
-                    # (and does) produce the same cores and ops.
-                    stepped = [None] * len(payloads)
-                    for i in reversed(range(len(payloads))):
-                        stepped[i] = _epoch_worker(payloads[i])
+                if sharded and processes == 1:
+                    # Inline sharding steps the stations in reversed order:
+                    # a different execution order must (and does) produce
+                    # the same cores and ops.
+                    stepped = pool.map(_epoch_worker, payloads[::-1])[::-1]
                 else:
-                    stepped = [_epoch_worker(p) for p in payloads]
+                    stepped = pool.map(_epoch_worker, payloads)
 
                 for sid, (core, ops) in zip(station_ids, stepped):
                     cores[sid] = core
@@ -759,10 +755,6 @@ class BroadcastNetwork:
                         since=epoch * 3600.0, until=(epoch + 1) * 3600.0
                     )
                     self.scheduler.observe(sid, counts)
-        finally:
-            if pool is not None:
-                pool.close()
-                pool.join()
 
         return self._collect(cores, schedule_digests)
 

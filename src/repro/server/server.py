@@ -304,70 +304,6 @@ class SonicServer:
         eta = tx.carousel.eta_seconds(url) or 0.0
         self._reply(sender, RequestAck(url, eta).to_text(), now)
 
-    def handle_page_requests_batch(
-        self, requests: list[tuple[PageRequest, str]], now: float
-    ) -> list[str]:
-        """Batched request flow: N requests cost one render per unique page.
-
-        The front end (:mod:`repro.server.frontend`) hands over whole
-        dispatch batches; requests are validated and routed individually,
-        but rendering and carousel queuing happen once per unique
-        ``(transmitter, url)`` — so a burst of users asking for the same
-        hot page costs a single :meth:`bundle_for` (itself usually a
-        :class:`~repro.server.cache.BundleStore` hit).  Replies (ACK with
-        airtime estimate, or ERR) go out through the gateway exactly like
-        the serial path; the reply texts are also returned in order.
-        """
-        hour = int(now // 3600)
-        self.stats.requests += len(requests)
-        routed: list[tuple[PageRequest, str, Transmitter | None, str | None]] = []
-        for request, sender in requests:
-            url = request.url
-            if any(marker in url for marker in self.config.unsupported_markers):
-                routed.append((request, sender, None, "unsupported-auth"))
-                continue
-            tx = self.transmitters.covering(Location(request.lat, request.lon))
-            if tx is None:
-                routed.append((request, sender, None, "no-coverage"))
-                continue
-            routed.append((request, sender, tx, None))
-
-        # One bundle per unique URL, one enqueue per unique (tx, url).
-        bundles: dict[str, bytes | None] = {}
-        queued: set[tuple[int, str]] = set()
-        replies: list[str] = []
-        for request, sender, tx, error in routed:
-            url = request.url
-            if error is None:
-                if url not in bundles:
-                    try:
-                        _bundle, data = self.bundle_for(url, now)
-                        bundles[url] = data
-                    except KeyError:
-                        bundles[url] = None
-                data = bundles[url]
-                if data is None:
-                    error = "unknown-site"
-                else:
-                    assert tx is not None
-                    if (id(tx), url) not in queued:
-                        self.enqueue_broadcast(
-                            tx,
-                            url,
-                            data,
-                            priority=self.scheduler.config.request_priority,
-                            version=self.generator.effective_epoch(url, hour),
-                        )
-                        queued.add((id(tx), url))
-                    eta = tx.carousel.eta_seconds(url) or 0.0
-                    replies.append(RequestAck(url, eta).to_text())
-                    self._reply(sender, replies[-1], now)
-                    continue
-            self.stats.rejected += 1
-            replies.append(RequestError(url, error).to_text())
-            self._reply(sender, replies[-1], now)
-        return replies
-
     def handle_search(self, request: SearchRequest, sender: str, now: float) -> None:
         """FIND: build a results page over the corpus and broadcast it."""
         self.stats.searches += 1

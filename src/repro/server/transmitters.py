@@ -267,12 +267,6 @@ class TransmitterRegistry:
         """The nearest transmitter that covers ``where``, if any."""
         return self._nearest_covering(self._by_id.values(), where)
 
-    def covering_in_station(
-        self, station: str, where: Location
-    ) -> Transmitter | None:
-        """The station's nearest covering transmitter, if any."""
-        return self._nearest_covering(self._by_station.get(station, []), where)
-
     @staticmethod
     def _nearest_covering(transmitters, where: Location) -> Transmitter | None:
         candidates = [tx for tx in transmitters if tx.covers(where)]

@@ -123,16 +123,6 @@ class PopulationGeometry:
         dlon = np.degrees(east_km / (_EARTH_RADIUS_KM * math.cos(lat0)))
         return self.center.lat + dlat, self.center.lon + dlon
 
-    def recentred(
-        self, center: Location, radius_km: float | None = None
-    ) -> "PopulationGeometry":
-        """The same disc shape around a different station's mast."""
-        return PopulationGeometry(
-            center=center,
-            radius_km=self.radius_km if radius_km is None else radius_km,
-            min_distance_m=self.min_distance_m,
-        )
-
     def sample_distances_m(self, key: int, indices: np.ndarray) -> np.ndarray:
         """Transmitter distance (metres) for receivers ``indices``.
 

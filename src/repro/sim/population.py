@@ -25,7 +25,6 @@ chunked, and multiprocess runs are bit-identical by construction.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ import numpy as np
 from repro.radio.lossmodel import FrameLossModel
 from repro.radio.propagation import PropagationModel
 from repro.sim.geometry import PopulationGeometry, RegionPartition
+from repro.util.parallel import WorkerPool, worker_count
 from repro.util.rng import counter_normals, counter_uniforms, derive_key
 
 __all__ = [
@@ -285,10 +285,15 @@ def _simulate_chunk(
     return distances, rssi, p_loss, loss_rates, pages_decoded, readability
 
 
-def _chunk_worker(
-    args: tuple[FrameLossModel, PopulationConfig, _PopulationPlan, int, int],
-) -> tuple[np.ndarray, ...]:
-    return _simulate_chunk(*args)
+def _chunk_state(
+    model: FrameLossModel, config: PopulationConfig, plan: _PopulationPlan
+) -> tuple:
+    """Per-worker state: the run's constants, sent once per worker."""
+    return model, config, plan
+
+
+def _chunk_task(state: tuple, bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    return _simulate_chunk(*state, *bounds)
 
 
 def run_population(
@@ -298,10 +303,10 @@ def run_population(
 ) -> PopulationResult:
     """Simulate ``config.n_receivers`` statistical receivers.
 
-    ``processes`` partitions the population across a multiprocessing
-    pool; because every draw is counter-keyed on absolute receiver
-    indices, the result is bit-identical for any ``processes`` or
-    ``chunk_receivers`` value.
+    ``processes`` partitions the population across a worker pool
+    (``None`` runs in this process); because every draw is counter-keyed
+    on absolute receiver indices, the result is bit-identical for any
+    ``processes`` or ``chunk_receivers`` value.
     """
     t0 = time.perf_counter()
     plan = _make_plan(config)
@@ -310,18 +315,9 @@ def run_population(
         (lo, min(lo + config.chunk_receivers, n))
         for lo in range(0, n, config.chunk_receivers)
     ]
-    if processes is None:
-        processes = 1
-    processes = max(1, min(int(processes), len(bounds)))
-
-    if processes == 1:
-        parts = [_simulate_chunk(model, config, plan, lo, hi) for lo, hi in bounds]
-    else:
-        with multiprocessing.Pool(processes) as pool:
-            parts = pool.map(
-                _chunk_worker,
-                [(model, config, plan, lo, hi) for lo, hi in bounds],
-            )
+    processes = worker_count(processes or 1, len(bounds))
+    with WorkerPool(processes, _chunk_state, model, config, plan) as pool:
+        parts = pool.map(_chunk_task, bounds)
 
     merged = [np.concatenate(arrays) for arrays in zip(*parts)]
     distances, rssi, p_loss, loss_rates, pages_decoded, readability = merged

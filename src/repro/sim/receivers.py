@@ -4,15 +4,16 @@ SONIC's evaluation sweeps loss/SNR grids over many receivers all tuned
 to the *same* broadcast — the transmit side is one waveform, the receive
 side is N independent radios, each behind its own channel realisation.
 This module fans a shared broadcast waveform out to a fleet of simulated
-receivers across a ``multiprocessing`` pool:
+receivers across a :class:`~repro.util.parallel.WorkerPool`:
 
-* the waveform lives once in a read-only ``shared_memory`` buffer, so a
-  minutes-long broadcast is not pickled per worker;
+* the waveform reaches the workers once, as a read-only shared-memory
+  array, so a minutes-long broadcast is not pickled per worker;
 * every receiver draws its channel impairment from
   ``derive_rng(master_seed, "fleet-rx", idx)``, which makes the fleet's
   loss maps identical whether it runs serially or on the pool; and
-* each worker process builds one :class:`~repro.modem.modem.Modem` at
-  start-up and reuses it for every receiver it simulates.
+* each worker (or, serially, this process) builds one
+  :class:`~repro.modem.modem.Modem` and reuses it for every receiver it
+  simulates.
 
 The per-receiver loss maps feed the existing workload/user-study layers
 exactly like a single :meth:`Modem.receive` call would.
@@ -20,11 +21,8 @@ exactly like a single :meth:`Modem.receive` call would.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, replace
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from repro.modem.modem import Modem
 from repro.radio.channels import AcousticChannel
 from repro.radio.lossmodel import CalibrationStore, FrameLossModel, calibration_digest
 from repro.sim.population import PopulationConfig, PopulationResult, run_population
+from repro.util.parallel import WorkerPool, worker_count
 from repro.util.rng import derive_rng
 
 __all__ = [
@@ -252,26 +251,13 @@ def _receive_one_streaming(
     )
 
 
-# Per-worker state: attached shared waveform + a reusable Modem.  Plain
-# module globals — each pool worker initialises its own copy.
-_worker_wave: np.ndarray | None = None
-_worker_modem: Modem | None = None
-_worker_shm: shared_memory.SharedMemory | None = None
+def _fleet_receiver(config: FleetConfig, wave: np.ndarray) -> tuple:
+    """Per-worker state: the broadcast plus one Modem reused per receiver."""
+    return wave, Modem(config.profile), config
 
 
-def _init_worker(shm_name: str, n_samples: int, profile: str) -> None:
-    global _worker_wave, _worker_modem, _worker_shm
-    _worker_shm = shared_memory.SharedMemory(name=shm_name)
-    _worker_wave = np.ndarray(
-        (n_samples,), dtype=np.float64, buffer=_worker_shm.buf
-    )
-    _worker_modem = Modem(profile)
-
-
-def _run_worker(args: tuple[FleetConfig, int]) -> ReceiverReport:
-    config, idx = args
-    assert _worker_wave is not None and _worker_modem is not None
-    return _receive_one(_worker_wave, _worker_modem, config, idx)
+def _receive_task(state: tuple, idx: int) -> ReceiverReport:
+    return _receive_one(*state, idx)
 
 
 def _run_modem_fleet(
@@ -279,42 +265,18 @@ def _run_modem_fleet(
 ) -> tuple[tuple[ReceiverReport, ...], int, float]:
     """The full-modem (Tier-1) fleet: every receiver runs real DSP."""
     waveform = np.ascontiguousarray(waveform, dtype=np.float64)
-    if processes is None:
-        processes = min(config.n_receivers, os.cpu_count() or 1)
-    # A pool of one (or a one-receiver fleet) is just the serial path:
-    # the shared-memory segment is created lazily, only when a real
-    # pool will attach to it — serial runs never pay the shm
-    # setup/teardown.
-    processes = max(1, min(int(processes), config.n_receivers))
-
+    processes = worker_count(processes, config.n_receivers)
     t0 = time.perf_counter()
-    if processes == 1:
-        modem = Modem(config.profile)
+    with WorkerPool(
+        processes, _fleet_receiver, config, arrays={"wave": waveform}
+    ) as pool:
         reports = tuple(
-            _receive_one(waveform, modem, config, idx)
-            for idx in range(config.n_receivers)
-        )
-        return reports, 1, time.perf_counter() - t0
-
-    shm = shared_memory.SharedMemory(create=True, size=max(waveform.nbytes, 1))
-    try:
-        shared = np.ndarray(waveform.shape, dtype=np.float64, buffer=shm.buf)
-        shared[:] = waveform
-        with multiprocessing.Pool(
-            processes,
-            initializer=_init_worker,
-            initargs=(shm.name, waveform.size, config.profile),
-        ) as pool:
-            reports = tuple(
-                pool.map(
-                    _run_worker,
-                    [(config, idx) for idx in range(config.n_receivers)],
-                    chunksize=max(1, config.n_receivers // (4 * processes)),
-                )
+            pool.map(
+                _receive_task,
+                range(config.n_receivers),
+                chunksize=max(1, config.n_receivers // (4 * processes)),
             )
-    finally:
-        shm.close()
-        shm.unlink()
+        )
     return reports, processes, time.perf_counter() - t0
 
 

@@ -14,10 +14,11 @@ demodulate chain), so results are memoised in a :class:`SweepStore`
 keyed by a digest of the profile, channel parameters and probe waveform
 (the same shape as :class:`repro.radio.lossmodel.CalibrationStore`): a
 warm store answers a repeat sweep without touching the DSP.  Cell
-evaluation fans out over a ``multiprocessing`` pool with the probe
-waveforms in shared memory (the fleet-pool pattern), and every cell's
-randomness is keyed on ``(master_seed, profile, axis, cell index)`` only
-— so serial and pooled runs produce bit-identical results.
+evaluation fans out over a :class:`~repro.util.parallel.WorkerPool`
+with the probe waveforms in shared memory (as in the fleet), and every
+cell's randomness is keyed on ``(master_seed, profile, axis, cell
+index)`` only — so serial and pooled runs produce bit-identical
+results.
 
 The output is the rate-vs-robustness frontier: for each profile, its net
 payload rate and the harshest value per channel axis at which measured
@@ -28,18 +29,16 @@ plus an SVG scatter via :mod:`repro.report`.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 
 from repro.radio.channels import AcousticChannel, FmRadioLink
 from repro.radio.lossmodel import FrameLossModel, calibration_digest, fit_logistic_fer
+from repro.util.parallel import WorkerPool, worker_count
 from repro.util.rng import derive_rng
 
 __all__ = [
@@ -159,7 +158,7 @@ class Contender:
         return self._waveform
 
     def attach_waveform(self, waveform: np.ndarray) -> None:
-        """Adopt a pre-built probe waveform (shared-memory pool path)."""
+        """Adopt a pre-built probe waveform (a pool worker's shared copy)."""
         self._waveform = waveform
 
     @property
@@ -263,40 +262,25 @@ def _eval_cell(contender: Contender, config: TournamentConfig,
     return contender.n_frames, contender.n_frames - ok
 
 
-# Pool-worker state: config plus contenders built lazily per profile,
-# their waveforms attached from the parent's shared-memory segments.
-_worker_config: TournamentConfig | None = None
-_worker_waves: dict[str, np.ndarray] = {}
-_worker_contenders: dict[str, Contender] = {}
-_worker_shms: list[shared_memory.SharedMemory] = []
+class _Contenders(dict):
+    """Per-worker contenders, built on first use over the parent's probes."""
+
+    def __init__(self, config: TournamentConfig, **waves: np.ndarray) -> None:
+        super().__init__()
+        self.config = config
+        self.waves = waves
+
+    def __missing__(self, profile: str) -> Contender:
+        contender = self[profile] = Contender(profile, self.config)
+        contender.attach_waveform(self.waves[profile])
+        return contender
 
 
-def _init_tournament_worker(
-    config: TournamentConfig, segments: list[tuple[str, str, int]]
-) -> None:
-    global _worker_config
-    _worker_config = config
-    _worker_waves.clear()
-    _worker_contenders.clear()
-    for profile, shm_name, n_samples in segments:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        _worker_shms.append(shm)
-        _worker_waves[profile] = np.ndarray(
-            (n_samples,), dtype=np.float64, buffer=shm.buf
-        )
-
-
-def _run_tournament_worker(
-    task: tuple[str, str, int, float]
+def _cell_task(
+    contenders: _Contenders, task: tuple[str, str, int, float]
 ) -> tuple[int, int]:
     profile, axis, index, value = task
-    assert _worker_config is not None
-    contender = _worker_contenders.get(profile)
-    if contender is None:
-        contender = Contender(profile, _worker_config)
-        contender.attach_waveform(_worker_waves[profile])
-        _worker_contenders[profile] = contender
-    return _eval_cell(contender, _worker_config, axis, index, value)
+    return _eval_cell(contenders[profile], contenders.config, axis, index, value)
 
 
 @dataclass(frozen=True)
@@ -427,46 +411,12 @@ def run_tournament(
         else:
             misses.append(task)
 
-    if processes is None:
-        processes = min(len(misses) or 1, os.cpu_count() or 1)
-    processes = max(1, min(int(processes), len(misses) or 1))
-
+    processes = worker_count(processes, len(misses))
     measured: dict[tuple[str, str, int, float], tuple[int, int]] = {}
-    if misses and processes == 1:
-        for task in misses:
-            profile, axis, index, value = task
-            measured[task] = _eval_cell(
-                contenders[profile], config, axis, index, value
-            )
-    elif misses:
-        needed = sorted({task[0] for task in misses})
-        shms: list[shared_memory.SharedMemory] = []
-        segments: list[tuple[str, str, int]] = []
-        try:
-            for profile in needed:
-                wave = np.ascontiguousarray(
-                    contenders[profile].waveform, dtype=np.float64
-                )
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(wave.nbytes, 1)
-                )
-                shms.append(shm)
-                view = np.ndarray(wave.shape, dtype=np.float64, buffer=shm.buf)
-                view[:] = wave
-                segments.append((profile, shm.name, wave.size))
-            with multiprocessing.Pool(
-                processes,
-                initializer=_init_tournament_worker,
-                initargs=(config, segments),
-            ) as pool:
-                for task, counts in zip(
-                    misses, pool.map(_run_tournament_worker, misses, chunksize=1)
-                ):
-                    measured[task] = counts
-        finally:
-            for shm in shms:
-                shm.close()
-                shm.unlink()
+    if misses:
+        waves = {task[0]: contenders[task[0]].waveform for task in misses}
+        with WorkerPool(processes, _Contenders, config, arrays=waves) as pool:
+            measured = dict(zip(misses, pool.map(_cell_task, misses)))
     for task, counts in measured.items():
         store.save(digests[task], *counts)
 
@@ -488,7 +438,7 @@ def run_tournament(
         config=config,
         cells=tuple(cells),
         net_rates={name: c.net_bps for name, c in contenders.items()},
-        processes=processes if misses else 1,
+        processes=processes,
         elapsed_s=time.perf_counter() - t0,
     )
 

@@ -35,11 +35,6 @@ class CarouselItem:
     def remaining_bytes(self) -> int:
         return max(0, self.size_bytes - self.sent_bytes)
 
-    @property
-    def airtime_frames(self) -> int:
-        """100-byte frames this item occupies on air."""
-        return -(-self.size_bytes // FRAME_SIZE)
-
 
 class BroadcastCarousel:
     """Priority-ordered transmission queue with byte-rate draining."""

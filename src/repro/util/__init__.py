@@ -1,4 +1,5 @@
-"""Shared low-level plumbing: bit packing and deterministic RNG streams."""
+"""Shared low-level plumbing: bit packing, deterministic RNG streams and
+the worker pool (:mod:`repro.util.parallel`)."""
 
 from repro.util.bits import (
     bits_to_bytes,

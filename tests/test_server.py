@@ -215,6 +215,20 @@ class TestSonicServer:
 
 
 class TestBatchedRequests:
+    """A burst of requests through ``handle_page_request``, one at a time."""
+
+    @staticmethod
+    def _serve(gateway, server, requests, now=0.0):
+        """Each sender's reply, parsed, in request order."""
+        inbox = {}
+        for request, sender in requests:
+            gateway.register(
+                sender, lambda m, t: inbox.setdefault(m.recipient, []).append(m.text)
+            )
+            server.handle_page_request(request, sender, now)
+        gateway.deliver_due(now + 600.0)
+        return [parse_downlink(inbox[sender].pop(0)) for _, sender in requests]
+
     def test_batch_matches_serial_acks(self, server_env):
         gateway, generator, registry, server = server_env
         urls = generator.all_urls()[:3]
@@ -224,9 +238,8 @@ class TestBatchedRequests:
             for i in range(3)
         ] + [(PageRequest(urls[1], _LAHORE.lat, _LAHORE.lon), "+92309")]
         renders_before = server.stats.renders
-        replies = server.handle_page_requests_batch(batch, now=0.0)
-        assert len(replies) == 4
-        acks = [parse_downlink(r) for r in replies]
+        acks = self._serve(gateway, server, batch)
+        assert len(acks) == 4
         assert all(isinstance(a, RequestAck) for a in acks)
         assert [a.url for a in acks] == [urls[0]] * 3 + [urls[1]]
         # N requests for the hot page cost one render each unique page.
@@ -244,8 +257,7 @@ class TestBatchedRequests:
             (PageRequest(url, _KARACHI.lat, _KARACHI.lon), "+92303"),
             (PageRequest("nowhere.pk/", _LAHORE.lat, _LAHORE.lon), "+92304"),
         ]
-        replies = [parse_downlink(r) for r in
-                   server.handle_page_requests_batch(batch, now=0.0)]
+        replies = self._serve(gateway, server, batch)
         assert isinstance(replies[0], RequestAck)
         assert isinstance(replies[1], RequestError)
         assert replies[1].reason == "unsupported-auth"
@@ -259,8 +271,8 @@ class TestBatchedRequests:
         url = generator.all_urls()[0]
         inbox = []
         gateway.register("+92305", lambda m, now: inbox.append(m.text))
-        server.handle_page_requests_batch(
-            [(PageRequest(url, _LAHORE.lat, _LAHORE.lon), "+92305")], now=0.0
+        server.handle_page_request(
+            PageRequest(url, _LAHORE.lat, _LAHORE.lon), "+92305", now=0.0
         )
         gateway.deliver_due(120.0)
         assert len(inbox) == 1

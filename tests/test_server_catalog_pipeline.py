@@ -6,15 +6,13 @@ bit-identical bundles and ledgers.  These tests pin that contract end
 to end.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.server.cache import BundleStore
-from repro.server.catalog import (
-    CatalogConfig,
-    CatalogPipeline,
-    _InlinePool,
-)
+from repro.server.catalog import CatalogConfig, CatalogPipeline
 from repro.server.frontend import (
     CatalogResolver,
     FrontendConfig,
@@ -57,7 +55,10 @@ class TestPersistentPool:
 
     def test_start_resolves_single_worker_inline(self):
         pipeline = _pipeline().start(1)
-        assert isinstance(pipeline._pool, _InlinePool)
+        job = pipeline.submit_catalog(pipeline.generator.all_urls()[:1], hour=0)
+        assert job.result().encoded == 1
+        # One worker renders in this process: no child was ever started.
+        assert multiprocessing.active_children() == []
         assert pipeline.persistent
         pipeline.close()
         assert not pipeline.persistent
