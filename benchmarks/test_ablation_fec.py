@@ -9,7 +9,6 @@ and each removal should cost dB.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.modem.modem import Modem
@@ -42,9 +41,8 @@ def run_ablation(n_frames: int) -> dict[str, dict[float, float]]:
     return results
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_fec_stages(benchmark):
-    results = benchmark.pedantic(run_ablation, args=(8,), rounds=1, iterations=1)
+def test_ablation_fec_stages():
+    results = run_ablation(8)
     rows = [
         [profile] + [f"{results[profile][snr]:.0f}" for snr in SNRS]
         for profile in PROFILES

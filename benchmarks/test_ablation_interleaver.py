@@ -9,7 +9,6 @@ FM threshold artefact) and compares frame survival.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.modem.frame import FecConfig, FrameCodec, FrameDecodeError
@@ -45,9 +44,8 @@ def run(n_trials: int) -> dict[str, float]:
     return outcomes
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_interleaver_bursts(benchmark):
-    outcomes = benchmark.pedantic(run, args=(40,), rounds=1, iterations=1)
+def test_ablation_interleaver_bursts():
+    outcomes = run(40)
     print_table(
         "Interleaver ablation: frames surviving a 64-bit click burst",
         ["configuration", "survival %"],

@@ -10,7 +10,6 @@ a large airtime premium.  This ablation quantifies that trade.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.imaging.codec import SWebpCodec
@@ -58,11 +57,8 @@ def run():
     return rows, len(bundle_frames), len(column_frames), q10_reference
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_transport_tradeoff(benchmark):
-    rows, n_bundle, n_column, q10_ref = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+def test_ablation_transport_tradeoff():
+    rows, n_bundle, n_column, q10_ref = run()
     print_table(
         f"Transport ablation (bundle {n_bundle} frames vs column {n_column} frames; "
         f"Q10 codec ceiling {q10_ref:.1f} dB)",

@@ -10,7 +10,6 @@ system simulation and reports the workflow latencies.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import full_scale, print_table
 from repro.core.config import SystemConfig
@@ -38,11 +37,8 @@ def run_workflow():
     return system, target, request_time, ack_time, delivery_time
 
 
-@pytest.mark.benchmark(group="e2e")
-def test_e2e_request_workflow(benchmark):
-    system, target, t0, ack_time, delivery_time = benchmark.pedantic(
-        run_workflow, rounds=1, iterations=1
-    )
+def test_e2e_request_workflow():
+    system, target, t0, ack_time, delivery_time = run_workflow()
     user_c = system.client("user-c")
     assert ack_time is not None, "no SMS ACK received"
     assert delivery_time is not None, "page never delivered"
@@ -70,8 +66,7 @@ def test_e2e_request_workflow(benchmark):
     assert user_a.frame_loss_rate > 0.0
 
 
-@pytest.mark.benchmark(group="e2e")
-def test_e2e_click_navigation(benchmark):
+def test_e2e_click_navigation():
     """Click-map browsing: cache hits load instantly, misses go to SMS."""
 
     def run():
@@ -81,7 +76,7 @@ def test_e2e_click_navigation(benchmark):
         system.run(seconds=3_600, step_s=5)
         return system
 
-    system = benchmark.pedantic(run, rounds=1, iterations=1)
+    system = run()
     user_c = system.client("user-c")
     now = system.clock.now
     landing = next(u for u in user_c.cache.urls() if u.endswith("/"))

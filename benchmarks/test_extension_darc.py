@@ -10,7 +10,6 @@ frequency.  Both effects are measured here through the full FM chain.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.radio.darc import DarcChannel
@@ -45,9 +44,8 @@ def run(payload_len: int):
     return results, rate
 
 
-@pytest.mark.benchmark(group="extension")
-def test_extension_darc_band(benchmark):
-    results, rate = benchmark.pedantic(run, args=(600,), rounds=1, iterations=1)
+def test_extension_darc_band():
+    results, rate = run(600)
     rows = [
         [f"{rssi:.0f}", "delivered" if ok else "lost"]
         for rssi, ok in results.items()

@@ -11,7 +11,6 @@ aggregate goodput and the stereo channel's earlier failure point.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.modem.modem import Modem
@@ -46,11 +45,8 @@ def run(n_frames: int):
     return results, n_frames, duration
 
 
-@pytest.mark.benchmark(group="extension")
-def test_extension_stereo_multiband(benchmark):
-    results, n_frames, duration = benchmark.pedantic(
-        run, args=(6,), rounds=1, iterations=1
-    )
+def test_extension_stereo_multiband():
+    results, n_frames, duration = run(6)
     single_rate = n_frames * 800 / duration
     rows = []
     for rssi, (mono_ok, diff_ok) in results.items():

@@ -9,7 +9,6 @@ slashes the damage where readers look, at a quantified airtime premium.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.transport.partition import ColumnTransport
@@ -52,9 +51,8 @@ def run():
     return outcomes
 
 
-@pytest.mark.benchmark(group="extension")
-def test_extension_uep(benchmark):
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_extension_uep():
+    outcomes = run()
     rows = [
         [
             label,

@@ -32,9 +32,8 @@ def build_panels():
     return url, delivered, sim
 
 
-@pytest.mark.benchmark(group="fig1")
-def test_fig1_loss_visual(benchmark, output_dir):
-    url, delivered, sim = benchmark.pedantic(build_panels, rounds=1, iterations=1)
+def test_fig1_loss_visual(output_dir):
+    url, delivered, sim = build_panels()
 
     write_ppm(output_dir / "fig1_left_no_loss.ppm", delivered)
     write_ppm(output_dir / "fig1_center_10pct_loss.ppm", sim.damaged)

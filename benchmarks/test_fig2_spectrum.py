@@ -11,7 +11,6 @@ A PGM spectrogram of the composed baseband is written for inspection.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from repro.dsp.spectrum import band_power_db
@@ -62,9 +61,8 @@ def spectrogram_pgm(mpx: np.ndarray, path, n_fft: int = 2_048) -> None:
     write_pgm(path, (scaled * 255).astype(np.uint8))
 
 
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_spectrum(benchmark, output_dir):
-    mpx = benchmark.pedantic(compose_full_multiplex, rounds=1, iterations=1)
+def test_fig2_spectrum(output_dir):
+    mpx = compose_full_multiplex()
     spectrogram_pgm(mpx, output_dir / "fig2_fm_baseband_spectrogram.pgm")
 
     fs = 192_000.0

@@ -10,7 +10,6 @@ speaker/mic alignment was not controlled.  Each experiment is repeated
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import full_scale, print_table
 from repro.modem.modem import Modem
@@ -49,13 +48,10 @@ def run_distance_sweep(reps: int, frames_per_rep: int) -> dict[str, list[float]]
     return losses
 
 
-@pytest.mark.benchmark(group="fig4a")
-def test_fig4a_distance_loss(benchmark, output_dir):
+def test_fig4a_distance_loss(output_dir):
     reps = 10 if full_scale() else 5
     frames = 32 if full_scale() else 16
-    losses = benchmark.pedantic(
-        run_distance_sweep, args=(reps, frames), rounds=1, iterations=1
-    )
+    losses = run_distance_sweep(reps, frames)
     rows = []
     for label, _ in DISTANCES:
         values = np.array(losses[label])
@@ -87,8 +83,7 @@ def test_fig4a_distance_loss(benchmark, output_dir):
     assert np.median(losses["1m"]) >= 5.0
 
 
-@pytest.mark.benchmark(group="fig4a")
-def test_fig4a_collapse_beyond_1m(benchmark):
+def test_fig4a_collapse_beyond_1m():
     """Above ~1.1 m the paper observes 100 % loss."""
 
     def run() -> float:
@@ -106,6 +101,6 @@ def test_fig4a_collapse_beyond_1m(benchmark):
             total += 8
         return 100.0 * (1 - ok / total)
 
-    loss = benchmark.pedantic(run, rounds=1, iterations=1)
+    loss = run()
     print(f"\nFIG4A  loss at 1.4 m: {loss:.0f}%  (paper: 100% above 1.1 m)")
     assert loss > 80.0

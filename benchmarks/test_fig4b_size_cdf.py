@@ -14,7 +14,6 @@ Chrome-rendered sites, so absolute sizes sit above the paper's; all the
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import full_scale, print_table
 from repro.imaging.codec import SWebpCodec
@@ -51,10 +50,9 @@ def measure_sizes(n_pages: int) -> dict[str, np.ndarray]:
     return {label: np.array(v) for label, v in sizes.items()}
 
 
-@pytest.mark.benchmark(group="fig4b")
-def test_fig4b_size_cdf(benchmark, output_dir):
+def test_fig4b_size_cdf(output_dir):
     n_pages = 100 if full_scale() else 24
-    sizes = benchmark.pedantic(measure_sizes, args=(n_pages,), rounds=1, iterations=1)
+    sizes = measure_sizes(n_pages)
 
     rows = []
     for label, _, _ in CONFIGS:

@@ -10,7 +10,6 @@ like N=100 at 10 kbps.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import full_scale, print_table
 from repro.sim.workload import BroadcastWorkload, WorkloadConfig
@@ -39,10 +38,9 @@ def run_curves(n_hours: int):
     return results
 
 
-@pytest.mark.benchmark(group="fig4c")
-def test_fig4c_backlog(benchmark, output_dir):
+def test_fig4c_backlog(output_dir):
     n_hours = 72 if full_scale() else 48  # the paper plots 48 h of 72
-    results = benchmark.pedantic(run_curves, args=(n_hours,), rounds=1, iterations=1)
+    results = run_curves(n_hours)
 
     rows = []
     for label, _, _ in CURVES:

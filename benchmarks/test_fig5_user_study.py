@@ -15,7 +15,6 @@ repro.sim.userstudy for the psychometric model).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import full_scale, print_table
 from repro.core.pipeline import simulate_column_loss
@@ -44,13 +43,10 @@ def run_study(n_pages: int, height: int):
     return study, screenshots, records
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_user_study(benchmark, output_dir):
+def test_fig5_user_study(output_dir):
     n_pages = 50 if full_scale() else 12
     height = 2_400 if not full_scale() else 4_000
-    study, screenshots, records = benchmark.pedantic(
-        run_study, args=(n_pages, height), rounds=1, iterations=1
-    )
+    study, screenshots, records = run_study(n_pages, height)
     assert len(screenshots) == n_pages * len(LOSS_RATES) * 2
     print(
         f"\nFIG5 study: {n_pages} pages x {len(LOSS_RATES)} loss rates x 2 "

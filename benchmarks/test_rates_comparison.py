@@ -73,8 +73,7 @@ def measure_rds(n_groups: int = 20) -> float:
     return len(decoded) * 64 / (band.size / 192_000)
 
 
-@pytest.mark.benchmark(group="rates")
-def test_rates_comparison(benchmark):
+def test_rates_comparison():
     def run():
         return {
             "sonic-ofdm": measure_ofdm("sonic-ofdm"),
@@ -86,7 +85,7 @@ def test_rates_comparison(benchmark):
             "rds": measure_rds(),
         }
 
-    rates = benchmark.pedantic(run, rounds=1, iterations=1)
+    rates = run()
     modem = Modem("sonic-ofdm")
     rows = [
         [

@@ -10,7 +10,6 @@ runs through the real OFDM modem + FM multiplex + discriminator chain.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import full_scale, print_table
 from repro.modem.modem import Modem
@@ -54,13 +53,10 @@ def run_rssi_sweep(reps: int, burst_size: int) -> dict[float, list[float]]:
     return losses
 
 
-@pytest.mark.benchmark(group="rssi")
-def test_rssi_sweep(benchmark):
+def test_rssi_sweep():
     reps = 6 if full_scale() else 3
     burst = 8 if full_scale() else 6
-    losses = benchmark.pedantic(
-        run_rssi_sweep, args=(reps, burst), rounds=1, iterations=1
-    )
+    losses = run_rssi_sweep(reps, burst)
     model = PropagationModel()
     rows = []
     for rssi in RSSI_STEPS:

@@ -174,7 +174,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"{len(system.generator.all_urls())} corpus pages")
     stats = system.server.stats
     print(f"server: {stats.renders} renders, {stats.pushes} pushes, "
-          f"{stats.requests} requests, {stats.cache_hits} cache hits")
+          f"{stats.requests} requests, {stats.store_hits} store hits")
     for client in system.clients:
         print(f"  {client.profile.name:8} cache {len(client.cache.urls()):3} pages, "
               f"frame loss {client.frame_loss_rate * 100:5.1f}%, "

@@ -320,23 +320,6 @@ class ReedSolomon:
             acc = table[acc, xs] ^ blocks[:, c, None]
         return acc
 
-    def _decode_errata(
-        self, row: np.ndarray, synd_row: np.ndarray, erase_pos: list[int]
-    ) -> tuple[np.ndarray, int]:
-        """Run the errata chain on one block (called only on bad blocks)."""
-        length = int(row.size)
-        synd = [int(s) for s in synd_row]
-        fsynd = self._forney_syndromes(synd, erase_pos, length)
-        err_loc = self._berlekamp_massey(fsynd, len(erase_pos))
-        err_pos = self._find_errors_vec(err_loc[::-1], length)
-        msg = self._correct_errata(
-            [int(v) for v in row], synd, erase_pos + err_pos
-        )
-        fixed = np.asarray(msg, dtype=np.uint8)
-        if self._syndromes_blocks(fixed[None, :]).any():
-            raise RSDecodeError("residual syndromes after correction")
-        return fixed, len(erase_pos) + len(err_pos)
-
     def _decode_errata_blocks(
         self,
         work: np.ndarray,
@@ -349,7 +332,7 @@ class ReedSolomon:
     ) -> None:
         """Run the errata chain over every flagged block at once.
 
-        Mirrors :meth:`_decode_errata` stage by stage — Forney-syndrome
+        Mirrors :meth:`decode_ref` stage by stage — Forney-syndrome
         fold, Berlekamp-Massey, Chien search, Forney magnitudes, residual
         check — but each stage is numpy table gathers over the whole
         batch.  Polynomials live in fixed-width lowest-degree-first
@@ -521,24 +504,6 @@ class ReedSolomon:
         good = ~bad
         work[idx[good]] = cand[good]
         corrected[idx[good]] = e_tot[good]
-
-    @staticmethod
-    def _find_errors_vec(err_loc_rev: list[int], nmess: int) -> list[int]:
-        """Vectorised Chien search: evaluate the locator at every position.
-
-        Same contract as :meth:`_find_errors`, but one
-        :meth:`~repro.fec.galois.GF256.poly_eval_many` call replaces the
-        per-position Horner loop.
-        """
-        errs = len(err_loc_rev) - 1
-        points = GF.exp_vec(np.arange(nmess))
-        values = GF.poly_eval_many(np.asarray(err_loc_rev), points)
-        roots = np.nonzero(values == 0)[0]
-        if roots.size != errs:
-            raise RSDecodeError(
-                "could not locate all errors (beyond correction capacity)"
-            )
-        return [nmess - 1 - int(i) for i in roots]
 
     # -- scalar decoding internals ----------------------------------------------
 

@@ -1,12 +1,12 @@
 """The SONIC server (paper Section 3.1).
 
 Responsibilities: render requested webpages into screenshot bundles,
-cache them, pick the FM transmitter that covers the requesting user,
-queue broadcasts, answer requests over SMS with delivery estimates, and
-preemptively push the region's popular pages.
+keep the encoded bundles in a store, pick the FM transmitter that
+covers the requesting user, queue broadcasts, answer requests over SMS
+with delivery estimates, and preemptively push the region's popular
+pages.
 """
 
-from repro.server.cache import PageCache, CachedPage
 from repro.server.transmitters import (
     BroadcastEncodeCache,
     CacheStats,
@@ -28,7 +28,6 @@ from repro.server.network import (
     NetworkConfig,
     NetworkResult,
     RegionSpec,
-    Station,
     StationReport,
     run_network,
 )
@@ -51,8 +50,6 @@ __all__ = [
     "SizeModelResolver",
     "LedgerStats",
     "RequestLedger",
-    "PageCache",
-    "CachedPage",
     "BroadcastEncodeCache",
     "CacheStats",
     "payload_digest",
@@ -68,7 +65,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkResult",
     "RegionSpec",
-    "Station",
     "StationReport",
     "run_network",
     "SonicServer",

@@ -1,19 +1,18 @@
-"""Server-side page cache and the persistent encoded-bundle store.
+"""The server's page cache: a persistent store of encoded bundles.
 
 "the SONIC server produces a simplified version of the webpage, either
 from its cache, e.g., if recently requested by another user, or by
-directly accessing it" (Section 3.1).  Entries carry the expiry the
-server later advertises to clients.
+directly accessing it" (Section 3.1).
 
-Two layers live here:
-
-* :class:`PageCache` — the TTL'd render cache of Section 3.1.
-* :class:`BundleStore` — a digest-keyed store of *encoded* bundle bytes.
-  The key is derived from everything the encode depends on (URL, content
-  epoch, render geometry, quality, corpus seed), so any hour, process,
-  or simulation run that needs the same page reuses the bytes instead of
-  re-rendering and re-encoding — the server-side analogue of the
-  transmitters' :class:`~repro.server.transmitters.BroadcastEncodeCache`.
+:class:`BundleStore` is that cache.  It holds *encoded* bundle bytes
+under a digest key derived from everything the encode depends on (URL,
+content epoch, render geometry, quality, corpus seed), so any request,
+hour, process, or simulation run that needs the same page reuses the
+bytes instead of re-rendering and re-encoding — the server-side
+analogue of the transmitters'
+:class:`~repro.server.transmitters.BroadcastEncodeCache`.  A page's
+content epoch is part of the key, so a changed page is a new entry and
+no entry ever goes stale.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.transport.bundle import PageBundle
-
-__all__ = ["CachedPage", "PageCache", "BundleStoreStats", "BundleStore", "bundle_key"]
+__all__ = ["BundleStoreStats", "BundleStore", "bundle_key"]
 
 
 def bundle_key(
@@ -168,62 +165,3 @@ class BundleStore:
             if mine != data:
                 return False
         return True
-
-
-@dataclass
-class CachedPage:
-    """One cached render."""
-
-    bundle: PageBundle
-    rendered_at: float  # simulation seconds
-    ttl_s: float
-    hits: int = 0
-
-    def fresh(self, now: float) -> bool:
-        return now - self.rendered_at < self.ttl_s
-
-
-class PageCache:
-    """URL-keyed cache with TTL expiry and LRU-style capacity eviction."""
-
-    def __init__(self, capacity: int = 500, default_ttl_s: float = 3600.0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.default_ttl_s = default_ttl_s
-        self._entries: dict[str, CachedPage] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, url: str, now: float) -> CachedPage | None:
-        """A fresh entry, or None (stale entries are dropped on access)."""
-        entry = self._entries.get(url)
-        if entry is None:
-            return None
-        if not entry.fresh(now):
-            del self._entries[url]
-            return None
-        entry.hits += 1
-        return entry
-
-    def put(
-        self, bundle: PageBundle, now: float, ttl_s: float | None = None
-    ) -> CachedPage:
-        """Insert (or replace) a render; evicts the stalest when full."""
-        if len(self._entries) >= self.capacity and bundle.url not in self._entries:
-            victim = min(self._entries.values(), key=lambda e: e.rendered_at)
-            del self._entries[victim.bundle.url]
-        entry = CachedPage(bundle, now, ttl_s if ttl_s is not None else self.default_ttl_s)
-        self._entries[bundle.url] = entry
-        return entry
-
-    def expire(self, now: float) -> int:
-        """Drop all stale entries; returns how many were removed."""
-        stale = [url for url, e in self._entries.items() if not e.fresh(now)]
-        for url in stale:
-            del self._entries[url]
-        return len(stale)
-
-    def urls(self) -> list[str]:
-        return list(self._entries)

@@ -5,15 +5,13 @@ infrastructure consists of multiple transmitters (and frequencies) at
 different locations" (Section 3.1).  This module grows the single-server
 model into that network:
 
-* :class:`Station` — the per-region serving unit extracted out of
-  :class:`~repro.server.server.SonicServer`: a transmitter set, the
-  carousel(s) they drain, an :class:`AdaptiveProfileSelector`, and a
-  view of the region's :class:`~repro.server.ledger.RequestLedger`.
 * :class:`BroadcastNetwork` — N regional stations over one shared
   :class:`~repro.server.cache.BundleStore` (a page encoded for Lahore is
   never re-encoded for Karachi), scheduled by a
   :class:`~repro.server.scheduler.DemandScheduler` fed from each
-  region's measured SMS demand.
+  region's measured SMS demand.  Each station is a transmitter, an
+  :class:`AdaptiveProfileSelector` and a
+  :class:`~repro.server.ledger.RequestLedger`, kept in per-region dicts.
 * :func:`run_network` — an epoch-synchronous broadcast-day simulation.
   Stations evolve *independently within an epoch* (one hour) and the
   scheduler rebalances only at epoch boundaries, so the sharded run —
@@ -46,13 +44,8 @@ from repro.server.scheduler import (
     DemandScheduler,
     schedule_digest,
 )
-from repro.server.transmitters import Transmitter, TransmitterRegistry
-from repro.sim.geometry import (
-    Location,
-    PopulationGeometry,
-    RegionPartition,
-    distance_km,
-)
+from repro.server.transmitters import Transmitter
+from repro.sim.geometry import Location, PopulationGeometry, RegionPartition
 from repro.sim.workload import PageSizeModel, RequestTraceConfig, generate_requests
 from repro.sms.protocol import LinkReport
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
@@ -65,7 +58,6 @@ __all__ = [
     "DEFAULT_PROFILE_LADDER",
     "DEFAULT_REGIONS",
     "RegionSpec",
-    "Station",
     "NetworkConfig",
     "StationReport",
     "NetworkResult",
@@ -122,106 +114,6 @@ DEFAULT_REGIONS: tuple[RegionSpec, ...] = (
     RegionSpec("hyderabad", Location(25.3960, 68.3578), rate_per_s=0.025),
     RegionSpec("quetta", Location(30.1798, 66.9750), rate_per_s=0.02),
 )
-
-
-class Station:
-    """Per-region serving unit: transmitters, selector, ledger view.
-
-    This is the state :class:`~repro.server.server.SonicServer` used to
-    hold monolithically; the server now routes every enqueue through the
-    owning station, and :class:`BroadcastNetwork` owns one ``Station``
-    per region outright.
-    """
-
-    def __init__(
-        self,
-        station_id: str,
-        transmitters: list[Transmitter],
-        selector: AdaptiveProfileSelector | None = None,
-        ledger: RequestLedger | None = None,
-    ) -> None:
-        self.station_id = station_id
-        self.transmitters = list(transmitters)
-        for tx in self.transmitters:
-            if tx.station != station_id:
-                raise ValueError(
-                    f"transmitter {tx.station_id} belongs to {tx.station},"
-                    f" not {station_id}"
-                )
-        self.selector = selector
-        self.ledger = ledger
-        self.advised_profile: str | None = None
-        self.profile_switches = 0
-
-    def covering(self, where: Location) -> Transmitter | None:
-        """The station's nearest transmitter covering ``where``."""
-        candidates = [tx for tx in self.transmitters if tx.covers(where)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda tx: distance_km(tx.location, where))
-
-    def enqueue(
-        self,
-        tx: Transmitter,
-        url: str,
-        data: bytes,
-        priority: float,
-        page_id: int,
-        transport,
-        version: int = 0,
-        with_frames: bool = True,
-    ) -> None:
-        """Queue ``data`` on one of this station's carousels.
-
-        Frame chunking goes through the transmitter's broadcast encode
-        cache, so a repeat broadcast of byte-identical content reuses
-        the previously chunked frames.
-        """
-        from repro.server.transmitters import payload_digest
-
-        if tx not in self.transmitters:
-            raise ValueError(f"{tx.station_id} is not a {self.station_id} transmitter")
-        digest = payload_digest(data)
-        frames = (
-            tx.cache.frames(
-                data,
-                page_id=page_id,
-                version=version,
-                transport=transport,
-                digest=digest,
-            )
-            if with_frames
-            else None
-        )
-        tx.carousel.enqueue(
-            CarouselItem(
-                url, len(data), priority=priority, frames=frames, digest=digest
-            )
-        )
-
-    def observe_report(self, report: LinkReport) -> str | None:
-        """Fold a receiver report into this station's selector.
-
-        Returns the advised profile (None without a selector) and counts
-        advice changes as profile switches.
-        """
-        if self.selector is None:
-            return None
-        self.selector.observe(report)
-        choice = self.selector.select(report.snr_db)
-        if choice != self.advised_profile:
-            if self.advised_profile is not None:
-                self.profile_switches += 1
-            self.advised_profile = choice
-        return choice
-
-    def demand_snapshot(
-        self, since: float | None = None, until: float | None = None
-    ) -> dict[int, int]:
-        """Per-URL demand from the station's ledger (empty without one)."""
-        if self.ledger is None:
-            return {}
-        return self.ledger.demand_counts(since=since, until=until)
 
 
 @dataclass(frozen=True)
@@ -546,10 +438,10 @@ class NetworkResult:
 class BroadcastNetwork:
     """N regional stations over one shared bundle store.
 
-    Owns the registry (one transmitter per region, grouped by station),
-    the per-region ledgers, the region-local Tranco priors, and the
-    :class:`DemandScheduler` that allocates pages to stations at every
-    epoch boundary.
+    Owns, per region, one transmitter, one profile selector and one
+    request ledger (dicts keyed by region name), the region-local
+    Tranco priors, and the :class:`DemandScheduler` that allocates pages
+    to stations at every epoch boundary.
     """
 
     def __init__(self, config: NetworkConfig = NetworkConfig()) -> None:
@@ -559,27 +451,20 @@ class BroadcastNetwork:
         self.urls: tuple[str, ...] = tuple(self.generator.all_urls())
         self.size_model = PageSizeModel(self.generator, quality=config.quality)
         self.store = BundleStore(capacity=4 * config.n_pages)
-        self.registry = TransmitterRegistry()
-        self.stations: dict[str, Station] = {}
+        self.transmitters: dict[str, Transmitter] = {}
+        self.selectors: dict[str, AdaptiveProfileSelector] = {}
         self.ledgers: dict[str, RequestLedger] = {}
         priors: dict[str, np.ndarray] = {}
         for i, region in enumerate(self.regions):
-            tx = Transmitter(
+            self.transmitters[region.name] = Transmitter(
                 station_id=f"{region.name}-fm",
                 location=region.center,
                 frequency_mhz=88.0 + (i % 10) * 2.0,
                 coverage_km=region.radius_km,
                 rate_bps=config.profiles[0][1],
-                station=region.name,
             )
-            self.registry.add(tx)
-            self.stations[region.name] = Station(
-                region.name,
-                [tx],
-                selector=_build_selector(config),
-                ledger=RequestLedger(),
-            )
-            self.ledgers[region.name] = self.stations[region.name].ledger
+            self.selectors[region.name] = _build_selector(config)
+            self.ledgers[region.name] = RequestLedger()
             priors[region.name] = self._region_prior(region.name)
         self.scheduler = DemandScheduler(
             [r.name for r in self.regions],
@@ -621,12 +506,10 @@ class BroadcastNetwork:
     def _make_cores(self) -> dict[str, _SimCore]:
         cores = {}
         for region in self.regions:
-            station = self.stations[region.name]
-            selector = station.selector
-            assert selector is not None
+            selector = self.selectors[region.name]
             rates = {name: rate for name, rate, _, _ in self.config.profiles}
             profile = selector.select(region.snr_start_db)
-            tx = station.transmitters[0]
+            tx = self.transmitters[region.name]
             tx.carousel.rate_bps = rates[profile]
             cores[region.name] = _SimCore(
                 station_id=region.name,

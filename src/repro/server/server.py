@@ -1,18 +1,19 @@
 """The SONIC server: SMS requests in, FM broadcasts out (Section 3.1).
 
 Workflow for a request: parse the SMS, locate a transmitter covering the
-user, produce the page bundle (cache first, render otherwise), queue it
-on that transmitter's carousel ahead of the popularity pushes, and reply
-with an ACK carrying the airtime estimate.  An hourly tick re-renders
-changed popular pages and queues them as preemptive pushes.
+user, take the page's encoded bundle from the shared catalog pipeline
+(its bundle store first, render otherwise), queue it on that
+transmitter's carousel ahead of the popularity pushes, and reply with an
+ACK carrying the airtime estimate.  An hourly tick re-renders changed
+popular pages and queues them as preemptive pushes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.server.cache import BundleStore, PageCache, bundle_key
-from repro.server.network import Station
+from repro.server.cache import BundleStore
+from repro.server.catalog import CatalogConfig, CatalogPage, CatalogPipeline
 from repro.server.scheduler import (
     AdaptiveProfileSelector,
     PopularityScheduler,
@@ -51,7 +52,6 @@ class ServerConfig:
     render_width: int = 1080
     max_pixel_height: int | None = 10_000
     quality: int = 10
-    cache_ttl_s: float = 4 * 3600.0
     client_cache_hours: float = 24.0
     unsupported_markers: tuple[str, ...] = ("login", "account", "bank", "signin")
 
@@ -61,7 +61,6 @@ class ServerStats:
     """Counters for the evaluation harness."""
 
     requests: int = 0
-    cache_hits: int = 0
     renders: int = 0
     store_hits: int = 0  # encoded bundles reused from the BundleStore
     rejected: int = 0
@@ -72,7 +71,7 @@ class ServerStats:
 
 
 class SonicServer:
-    """Central SONIC service tying web, cache, SMS, and transmitters."""
+    """Central SONIC service tying web, bundle store, SMS, and transmitters."""
 
     def __init__(
         self,
@@ -88,7 +87,6 @@ class SonicServer:
         self.transmitters = transmitters
         self.gateway = gateway
         self.config = config
-        self.cache = PageCache(default_ttl_s=config.cache_ttl_s)
         self.bundle_store = bundle_store if bundle_store is not None else BundleStore()
         self.scheduler = PopularityScheduler(generator, scheduler_config)
         self.renderer = PageRenderer(
@@ -96,38 +94,11 @@ class SonicServer:
         )
         self._transport = BundleTransport()
         self._page_ids: dict[str, int] = {}
-        self._encoded: dict[tuple[str, int], bytes] = {}
-        self._catalog_pipeline = None  # lazy; shared across push_catalog calls
+        self._catalog_pipeline: CatalogPipeline | None = None  # built lazily
         self.profile_selector = profile_selector
         self._advised_profile: str | None = None
-        self._stations: dict[str, Station] = {}
         self.stats = ServerStats()
         gateway.register(config.sms_number, self._on_sms)
-
-    # -- stations ---------------------------------------------------------------
-
-    def station_for(self, tx: Transmitter) -> Station:
-        """The regional :class:`Station` owning ``tx`` (created lazily).
-
-        Stations share the server's profile selector; membership is
-        refreshed from the registry so transmitters added after the
-        first lookup still join their station.
-        """
-        assert tx.station is not None
-        members = self.transmitters.for_station(tx.station)
-        station = self._stations.get(tx.station)
-        if station is None:
-            station = Station(tx.station, members, selector=self.profile_selector)
-            self._stations[tx.station] = station
-        elif len(station.transmitters) != len(members):
-            station.transmitters = members
-        return station
-
-    def stations(self) -> dict[str, Station]:
-        """Every regional station in the registry, keyed by name."""
-        for sid in self.transmitters.station_ids():
-            self.station_for(self.transmitters.for_station(sid)[0])
-        return dict(self._stations)
 
     # -- identifiers ------------------------------------------------------------
 
@@ -137,65 +108,23 @@ class SonicServer:
             self._page_ids[url] = len(self._page_ids) % 65_536
         return self._page_ids[url]
 
-    # -- rendering ------------------------------------------------------------
+    # -- pages ----------------------------------------------------------------
 
-    def _bundle_key(self, url: str, epoch: int) -> str:
-        return bundle_key(
-            url,
-            epoch,
-            self.config.render_width,
-            self.config.max_pixel_height,
-            self.config.quality,
-            self.generator.seed,
-        )
+    def page(self, url: str, now: float) -> CatalogPage:
+        """The page's encoded bundle as it stands at simulation time ``now``.
 
-    def render_bundle(self, url: str, now: float) -> tuple[PageBundle, bytes]:
-        """Produce (bundle, encoded bytes) for a URL at simulation time.
-
-        The persistent :class:`BundleStore` is consulted first: an hour,
-        process, or prior run that already encoded this (url, epoch) at
-        the same render settings hands back the identical bytes without
-        rendering or re-encoding.
+        Comes from the shared :meth:`catalog_pipeline`: its bundle store
+        when any hour, request or push already encoded this (url, epoch)
+        at the server's render settings, otherwise a render + encode
+        that lands in the store.  Raises ``KeyError`` for a URL outside
+        the corpus.
         """
-        hour = int(now // 3600)
-        epoch = self.generator.effective_epoch(url, hour)
-        key = self._bundle_key(url, epoch)
-        data = self.bundle_store.get(key)
-        if data is not None:
+        page = self.catalog_pipeline().encode_page(url, int(now // 3600))
+        if page.from_store:
             self.stats.store_hits += 1
-            bundle = PageBundle.from_bytes(data)
         else:
-            page = self.generator.page(url, hour)
-            result = self.renderer.render(page)
-            bundle = PageBundle(
-                url,
-                result.image,
-                result.clickmap,
-                expiry_hours=self.config.client_cache_hours,
-                quality=self.config.quality,
-            )
-            data = bundle.to_bytes()
             self.stats.renders += 1
-            self.bundle_store.put(key, data)
-        # Keep only the freshest encode per URL: stale epochs are never
-        # broadcast again, and long simulations must not grow unbounded.
-        stale = [key for key in self._encoded if key[0] == url and key[1] != epoch]
-        for key in stale:
-            del self._encoded[key]
-        self._encoded[(url, epoch)] = data
-        return bundle, data
-
-    def bundle_for(self, url: str, now: float) -> tuple[PageBundle, bytes]:
-        """Cache-aware bundle production."""
-        cached = self.cache.get(url, now)
-        hour = int(now // 3600)
-        epoch = self.generator.effective_epoch(url, hour)
-        if cached is not None and (url, epoch) in self._encoded:
-            self.stats.cache_hits += 1
-            return cached.bundle, self._encoded[(url, epoch)]
-        bundle, data = self.render_bundle(url, now)
-        self.cache.put(bundle, now)
-        return bundle, data
+        return page
 
     # -- broadcasting ------------------------------------------------------------
 
@@ -206,25 +135,15 @@ class SonicServer:
         data: bytes,
         priority: float,
         version: int = 0,
-        with_frames: bool = True,
     ) -> None:
-        """Queue ``data`` on a transmitter's carousel.
-
-        Routed through the owning regional :class:`Station`: frame
-        chunking goes through the transmitter's broadcast encode cache,
-        so a repeat broadcast of byte-identical content (the hourly
-        carousel case, or two users requesting the same page) reuses
-        the previously chunked frames instead of re-encoding them.
-        """
-        self.station_for(tx).enqueue(
-            tx,
+        """Queue ``data`` on a transmitter's carousel under the URL's page id."""
+        tx.enqueue(
             url,
             data,
             priority=priority,
             page_id=self.page_id(url),
             transport=self._transport,
             version=version,
-            with_frames=with_frames,
         )
 
     # -- SMS handling ------------------------------------------------------------
@@ -288,18 +207,17 @@ class SonicServer:
             self._reply(sender, RequestError(url, "no-coverage").to_text(), now)
             return
         try:
-            _bundle, data = self.bundle_for(url, now)
+            page = self.page(url, now)
         except KeyError:
             self.stats.rejected += 1
             self._reply(sender, RequestError(url, "unknown-site").to_text(), now)
             return
-        hour = int(now // 3600)
         self.enqueue_broadcast(
             tx,
             url,
-            data,
+            page.data,
             priority=self.scheduler.config.request_priority,
-            version=self.generator.effective_epoch(url, hour),
+            version=page.epoch,
         )
         eta = tx.carousel.eta_seconds(url) or 0.0
         self._reply(sender, RequestAck(url, eta).to_text(), now)
@@ -393,17 +311,17 @@ class SonicServer:
         )
         return len(entries)
 
-    def catalog_pipeline(self, persistent: bool = False, processes: int | None = None):
+    def catalog_pipeline(
+        self, persistent: bool = False, processes: int | None = None
+    ) -> CatalogPipeline:
         """The server's shared :class:`~repro.server.catalog.CatalogPipeline`.
 
         Built once (lazily) over this server's generator and bundle
-        store, so every ``push_catalog`` call — and any persistent worker
-        pool attached with ``persistent=True`` — is reused across hours
-        instead of respawned per call.  Call :meth:`close` when done if a
-        pool was started.
+        store, so every :meth:`page` lookup and ``push_catalog`` call —
+        and any persistent worker pool attached with ``persistent=True``
+        — is reused across hours instead of respawned per call.  Call
+        :meth:`close` when done if a pool was started.
         """
-        from repro.server.catalog import CatalogConfig, CatalogPipeline
-
         if self._catalog_pipeline is None:
             self._catalog_pipeline = CatalogPipeline(
                 CatalogConfig(
@@ -456,7 +374,6 @@ class SonicServer:
                 priority=self.scheduler.page_priority(page.url, hour),
                 version=page.epoch,
             )
-            self._encoded[(page.url, page.epoch)] = page.data
         self.stats.pushes += result.n_pages
         self.broadcast_catalog(tx, now)
         return result
@@ -471,18 +388,16 @@ class SonicServer:
     # -- hourly push ------------------------------------------------------------
 
     def hourly_push(self, now: float) -> int:
-        """Render changed popular pages, queue on every station's fleet."""
+        """Render changed popular pages, queue them on every transmitter."""
         hour = int(now // 3600)
         pushed = 0
-        stations = self.stations().values()
+        transmitters = self.transmitters.all()
         for url, priority in self.scheduler.pages_to_push(hour):
-            _bundle, data = self.bundle_for(url, now)
-            version = self.generator.effective_epoch(url, hour)
-            for station in stations:
-                for tx in station.transmitters:
-                    self.enqueue_broadcast(
-                        tx, url, data, priority=priority, version=version
-                    )
+            page = self.page(url, now)
+            for tx in transmitters:
+                self.enqueue_broadcast(
+                    tx, url, page.data, priority=priority, version=page.epoch
+                )
             pushed += 1
         self.stats.pushes += pushed
         return pushed

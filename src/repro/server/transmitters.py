@@ -10,9 +10,9 @@ are routed to the transmitter whose coverage disc contains the user.
 The carousel rebroadcasts popular pages hour after hour, and most hours
 the page has not changed — so each transmitter also owns a
 :class:`BroadcastEncodeCache`, an LRU keyed on the payload digest (plus
-modem profile and FEC parameters for the waveform level) that lets a
+modem profile and FEC parameters for the burst level) that lets a
 repeat broadcast of unchanged content reuse the chunked frames and the
-modulated waveform instead of re-encoding them.
+modulated bursts instead of re-encoding them.
 """
 
 from __future__ import annotations
@@ -52,27 +52,18 @@ class CacheStats:
 
     frame_hits: int = 0
     frame_misses: int = 0
-    waveform_hits: int = 0
-    waveform_misses: int = 0
     burst_hits: int = 0
     burst_misses: int = 0
 
-    @property
-    def hits(self) -> int:
-        return self.frame_hits + self.waveform_hits + self.burst_hits
-
-    @property
-    def misses(self) -> int:
-        return self.frame_misses + self.waveform_misses + self.burst_misses
-
 
 class BroadcastEncodeCache:
-    """LRU cache of encoded frames and modulated waveforms.
+    """LRU cache of chunked frames and modulated frame bursts.
 
     Frame entries are keyed on ``(payload digest, page_id, version)`` —
-    everything :meth:`BundleTransport.chunk` depends on.  Waveform entries
-    additionally carry the modem profile name, its FEC parameters, and the
-    burst size, so different stations or profiles never share samples.
+    everything :meth:`BundleTransport.chunk` depends on.  Burst entries
+    carry the burst's payload digest, the modem profile name, its FEC
+    parameters and the frame count, so different profiles never share
+    samples.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -117,28 +108,6 @@ class BroadcastEncodeCache:
         self._put(key, frames)
         return frames
 
-    def waveform(
-        self,
-        frames: list[Frame],
-        digest: str,
-        modem: "Modem",
-        frames_per_burst: int = 16,
-    ) -> np.ndarray:
-        """Modulated audio for a frame list, cached per content + profile."""
-        profile = modem.profile
-        key = ("waveform", digest, profile.name, profile.fec, frames_per_burst)
-        cached = self._get(key)
-        if cached is not None:
-            self.stats.waveform_hits += 1
-            return cached
-        self.stats.waveform_misses += 1
-        from repro.core.pipeline import frames_to_waveform  # avoid import cycle
-
-        wave = frames_to_waveform(frames, modem, frames_per_burst=frames_per_burst)
-        wave.setflags(write=False)  # shared across broadcasts — keep immutable
-        self._put(key, wave)
-        return wave
-
     def burst(
         self,
         payloads: list[bytes],
@@ -171,11 +140,8 @@ class BroadcastEncodeCache:
 class Transmitter:
     """One FM transmitter participating in SONIC.
 
-    ``station_id`` doubles as the call sign; ``station`` names the
-    regional station the transmitter belongs to (a station may operate
-    several transmitters — a main mast plus boosters).  It defaults to
-    the call sign itself, so a standalone transmitter is its own
-    single-member station.
+    ``station_id`` doubles as the call sign.  The transmitter owns its
+    broadcast carousel and the encode cache its enqueues chunk through.
     """
 
     station_id: str
@@ -184,7 +150,6 @@ class Transmitter:
     coverage_km: float
     rate_bps: float = 10_000.0
     cache_capacity: int = 64
-    station: str | None = None
     carousel: BroadcastCarousel = field(init=False)
     cache: BroadcastEncodeCache = field(init=False)
 
@@ -193,49 +158,50 @@ class Transmitter:
             raise ValueError(f"{self.frequency_mhz} MHz outside the FM band")
         if self.coverage_km <= 0:
             raise ValueError("coverage radius must be positive")
-        if self.station is None:
-            self.station = self.station_id
         self.carousel = BroadcastCarousel(self.rate_bps)
         self.cache = BroadcastEncodeCache(self.cache_capacity)
 
     def covers(self, where: Location) -> bool:
         return distance_km(self.location, where) <= self.coverage_km
 
-    def broadcast_waveform(
+    def enqueue(
         self,
-        item: CarouselItem,
-        modem: "Modem",
-        frames_per_burst: int = 16,
-    ) -> np.ndarray:
-        """Modulated audio for one queued item (audio-true simulations).
+        url: str,
+        data: bytes,
+        priority: float,
+        page_id: int,
+        transport: "BundleTransport",
+        version: int = 0,
+    ) -> None:
+        """Queue ``data`` on this transmitter's carousel.
 
-        Repeat broadcasts of byte-identical content — the common carousel
-        case — return the cached waveform without re-running FEC or OFDM;
-        :attr:`cache` counters record how often that happens.
+        Frame chunking goes through :attr:`cache`, so a repeat broadcast
+        of byte-identical content (the hourly carousel case, or two
+        users requesting the same page) reuses the previously chunked
+        frames instead of re-encoding them.
         """
-        if item.frames is None:
-            raise ValueError(f"item {item.url} has no frame payloads")
-        if item.digest is None:
-            raise ValueError(f"item {item.url} carries no payload digest")
-        return self.cache.waveform(
-            item.frames, item.digest, modem, frames_per_burst=frames_per_burst
+        digest = payload_digest(data)
+        frames = self.cache.frames(
+            data, page_id=page_id, version=version, transport=transport, digest=digest
+        )
+        self.carousel.enqueue(
+            CarouselItem(
+                url, len(data), priority=priority, frames=frames, digest=digest
+            )
         )
 
 
 class TransmitterRegistry:
-    """Lookup of transmitters by call sign, by station, and by location.
+    """Lookup of transmitters by call sign and by location.
 
-    Both indexes are plain insertion-ordered dicts, so every iteration
-    surface (:meth:`all`, :meth:`station_ids`, :meth:`for_station`) is
+    The index is a plain insertion-ordered dict, so :meth:`all` is
     deterministic: two registries built from the same ``add`` sequence
     iterate identically, whatever process or hash seed runs them (a
-    property test pins this).  Station membership is indexed at ``add``
-    time, so routing *within* a station never scans the whole fleet.
+    property test pins this).
     """
 
     def __init__(self, transmitters: list[Transmitter] | None = None) -> None:
         self._by_id: dict[str, Transmitter] = {}
-        self._by_station: dict[str, list[Transmitter]] = {}
         for tx in transmitters or []:
             self.add(tx)
 
@@ -243,8 +209,6 @@ class TransmitterRegistry:
         if tx.station_id in self._by_id:
             raise ValueError(f"duplicate call sign {tx.station_id}")
         self._by_id[tx.station_id] = tx
-        assert tx.station is not None  # __post_init__ defaults it
-        self._by_station.setdefault(tx.station, []).append(tx)
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -255,21 +219,9 @@ class TransmitterRegistry:
     def all(self) -> list[Transmitter]:
         return list(self._by_id.values())
 
-    def station_ids(self) -> list[str]:
-        """Station names, in first-``add`` order."""
-        return list(self._by_station)
-
-    def for_station(self, station: str) -> list[Transmitter]:
-        """The station's transmitters (indexed — no fleet scan)."""
-        return list(self._by_station.get(station, []))
-
     def covering(self, where: Location) -> Transmitter | None:
         """The nearest transmitter that covers ``where``, if any."""
-        return self._nearest_covering(self._by_id.values(), where)
-
-    @staticmethod
-    def _nearest_covering(transmitters, where: Location) -> Transmitter | None:
-        candidates = [tx for tx in transmitters if tx.covers(where)]
+        candidates = [tx for tx in self._by_id.values() if tx.covers(where)]
         if not candidates:
             return None
         return min(candidates, key=lambda tx: distance_km(tx.location, where))

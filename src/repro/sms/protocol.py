@@ -20,6 +20,7 @@ Downlink (server -> client):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -70,6 +71,8 @@ class LinkReport:
     def __post_init__(self) -> None:
         if not 0 <= self.n_lost <= self.n_frames or self.n_frames <= 0:
             raise ValueError("need 0 <= n_lost <= n_frames, n_frames > 0")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"SNR must be finite, got {self.snr_db}")
 
     def to_text(self) -> str:
         return (

@@ -47,11 +47,14 @@ class TestProtocolMessages:
 
     def test_malformed_reports_rejected(self):
         for text in ("RPT gmsk SNR x LOSS 1/4", "RPT gmsk SNR 3 LOSS 14",
-                     "RPT gmsk LOSS 1/4", "RPT"):
+                     "RPT gmsk LOSS 1/4", "RPT", "RPT gmsk SNR nan LOSS 1/4",
+                     "RPT gmsk SNR inf LOSS 1/4", "RPT gmsk SNR -inf LOSS 1/4"):
             with pytest.raises(ValueError):
                 parse_uplink(text)
         with pytest.raises(ValueError):
             LinkReport("fsk", 0.0, n_lost=5, n_frames=4)
+        with pytest.raises(ValueError):
+            LinkReport("fsk", float("nan"), 0, 4)
 
 
 class TestSelector:
@@ -111,8 +114,7 @@ class TestSelector:
         assert sel.select(30.0) == "sonic-ofdm"
 
 
-@pytest.fixture()
-def adaptive_env():
+def _adaptive_server():
     gateway = SmsGateway(GatewayConfig(loss_probability=0.0), seed=1)
     generator = SiteGenerator(seed=2, n_sites=2)
     registry = TransmitterRegistry(
@@ -126,6 +128,11 @@ def adaptive_env():
         profile_selector=AdaptiveProfileSelector(LADDER, loss_threshold=0.1),
     )
     return gateway, server
+
+
+@pytest.fixture()
+def adaptive_env():
+    return _adaptive_server()
 
 
 class TestEndToEndAdaptation:
@@ -158,6 +165,32 @@ class TestEndToEndAdaptation:
             now += 3600.0
         assert server.stats.link_reports == len(degrading)
         assert server.stats.profile_switches == len(degrading)
+
+    def test_non_finite_report_rejected_without_poisoning_advice(self):
+        """A NaN SNR over SMS gets the malformed reply and never reaches
+        the selector: the next finite report gets the advice it gets
+        without the NaN."""
+        advice = {}
+        for hostile in (False, True):
+            gateway, server = _adaptive_server()
+            now = 0.0
+            for snr in (14.0, 15.0):
+                self._report(gateway, server, "sonic-ofdm", snr, 0, 16, now)
+                now += 3600.0
+            if hostile:
+                text = "RPT sonic-ofdm SNR nan LOSS 0/16"
+                gateway.submit(
+                    SmsMessage("+92300123", server.config.sms_number, text), now
+                )
+                gateway.deliver_due(now + 60.0)
+                reply = parse_downlink(gateway.deliver_due(now + 600.0)[0].text)
+                assert reply == RequestError("-", "malformed")
+                assert server.stats.rejected == 1
+                now += 3600.0
+            advice[hostile] = self._report(
+                gateway, server, "sonic-ofdm", 16.0, 0, 16, now
+            )
+        assert advice[True] == advice[False] == ProfileAdvice("sonic-ofdm")
 
     def test_no_selector_yields_error_reply(self):
         gateway = SmsGateway(GatewayConfig(loss_probability=0.0), seed=1)

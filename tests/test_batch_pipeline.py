@@ -24,7 +24,6 @@ from repro.server.transmitters import (
 from repro.sim.geometry import Location
 from repro.sms.gateway import GatewayConfig, SmsGateway
 from repro.transport.bundle import BundleTransport
-from repro.transport.carousel import CarouselItem
 from repro.web.sites import SiteGenerator
 
 _LAHORE = Location(31.5204, 74.3587)
@@ -144,9 +143,6 @@ class TestModemBurst:
 
 
 class TestBroadcastEncodeCache:
-    def _frames(self, data: bytes):
-        return BundleTransport().chunk(data, page_id=3, version=1)
-
     def test_frame_cache_hits_and_misses(self):
         cache = BroadcastEncodeCache()
         transport = BundleTransport()
@@ -157,44 +153,6 @@ class TestBroadcastEncodeCache:
         assert cache.stats.frame_hits == 1 and cache.stats.frame_misses == 1
         cache.frames(data, page_id=1, version=1, transport=transport)
         assert cache.stats.frame_misses == 2  # new version is a new entry
-
-    def test_waveform_cache_no_reencode_on_repeat(self, monkeypatch):
-        import repro.core.pipeline as pipeline
-
-        calls = []
-        real = pipeline.frames_to_waveform
-
-        def counting(frames, modem, frames_per_burst=16):
-            calls.append(len(frames))
-            return real(frames, modem, frames_per_burst=frames_per_burst)
-
-        monkeypatch.setattr(pipeline, "frames_to_waveform", counting)
-        data = b"unchanged page" * 30
-        frames = self._frames(data)
-        tx = Transmitter("lhr", _LAHORE, 93.7, coverage_km=30.0)
-        item = CarouselItem(
-            "a.pk/", len(data), frames=frames, digest=payload_digest(data)
-        )
-        modem = Modem("sonic-ofdm")
-        first = tx.broadcast_waveform(item, modem)
-        second = tx.broadcast_waveform(item, modem)
-        # The acceptance bar: the second broadcast performs no re-encode.
-        assert len(calls) == 1
-        assert second is first
-        assert not second.flags.writeable
-        assert tx.cache.stats.waveform_hits == 1
-        assert tx.cache.stats.waveform_misses == 1
-        assert tx.cache.stats.hits == 1
-
-    def test_waveform_keyed_on_profile(self):
-        data = b"profile-split" * 20
-        frames = self._frames(data)
-        cache = BroadcastEncodeCache()
-        digest = payload_digest(data)
-        a = cache.waveform(frames, digest, Modem("sonic-ofdm"))
-        b = cache.waveform(frames, digest, Modem("audible-7k"))
-        assert cache.stats.waveform_misses == 2
-        assert a.size != b.size or not np.array_equal(a, b)
 
     def test_lru_eviction(self):
         cache = BroadcastEncodeCache(capacity=2)
@@ -208,15 +166,6 @@ class TestBroadcastEncodeCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             BroadcastEncodeCache(capacity=0)
-
-    def test_broadcast_waveform_requires_frames_and_digest(self):
-        tx = Transmitter("lhr", _LAHORE, 93.7, coverage_km=30.0)
-        modem = Modem("sonic-ofdm")
-        with pytest.raises(ValueError):
-            tx.broadcast_waveform(CarouselItem("a.pk/", 10, digest="d"), modem)
-        item = CarouselItem("a.pk/", 10, frames=self._frames(b"x" * 10))
-        with pytest.raises(ValueError):
-            tx.broadcast_waveform(item, modem)
 
 
 class TestServerUsesCache:

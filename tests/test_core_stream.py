@@ -139,6 +139,15 @@ class TestWaveformSource:
         src.read_all()
         assert cache.stats.burst_misses == 1
         assert cache.stats.burst_hits == 2
+        # A hit hands back the one cached array, frozen against writes.
+        wave = cache.burst(payloads, modem)
+        assert cache.burst(payloads, modem) is wave
+        assert not wave.flags.writeable
+        assert cache.stats.burst_hits == 4
+        # Another modem profile never shares samples: a second miss.
+        other = cache.burst(payloads, Modem("audible-7k"))
+        assert cache.stats.burst_misses == 2
+        assert other.size != wave.size or not np.array_equal(other, wave)
 
     def test_idle_fill_pads_with_silence(self, modem):
         """An idle supply yields silence; the stream never ends."""

@@ -1,8 +1,7 @@
-"""SONIC server: cache, transmitters, scheduler, request handling."""
+"""SONIC server: transmitters, scheduler, request handling."""
 
 import pytest
 
-from repro.server.cache import PageCache
 from repro.server.scheduler import PopularityScheduler, SchedulerConfig
 from repro.server.server import ServerConfig, SonicServer
 from repro.server.transmitters import Transmitter, TransmitterRegistry
@@ -10,50 +9,10 @@ from repro.sim.geometry import Location
 from repro.sms.gateway import GatewayConfig, SmsGateway
 from repro.sms.message import SmsMessage
 from repro.sms.protocol import PageRequest, RequestAck, RequestError, parse_downlink
-from repro.transport.bundle import PageBundle
-from repro.web.clickmap import ClickMap
 from repro.web.sites import SiteGenerator
 
 _LAHORE = Location(31.5204, 74.3587)
 _KARACHI = Location(24.8607, 67.0011)
-
-
-def _bundle(url: str, page_image) -> PageBundle:
-    return PageBundle(url, page_image, ClickMap(), expiry_hours=1.0)
-
-
-class TestPageCache:
-    def test_put_get_fresh(self, page_image):
-        cache = PageCache(default_ttl_s=100.0)
-        cache.put(_bundle("a.pk/", page_image), now=0.0)
-        assert cache.get("a.pk/", 50.0) is not None
-
-    def test_ttl_expiry(self, page_image):
-        cache = PageCache(default_ttl_s=100.0)
-        cache.put(_bundle("a.pk/", page_image), now=0.0)
-        assert cache.get("a.pk/", 150.0) is None
-
-    def test_hit_counting(self, page_image):
-        cache = PageCache()
-        entry = cache.put(_bundle("a.pk/", page_image), 0.0)
-        cache.get("a.pk/", 1.0)
-        cache.get("a.pk/", 2.0)
-        assert entry.hits == 2
-
-    def test_capacity_eviction_oldest(self, page_image):
-        cache = PageCache(capacity=2)
-        cache.put(_bundle("a.pk/", page_image), 0.0)
-        cache.put(_bundle("b.pk/", page_image), 1.0)
-        cache.put(_bundle("c.pk/", page_image), 2.0)
-        assert cache.get("a.pk/", 3.0) is None
-        assert cache.get("c.pk/", 3.0) is not None
-
-    def test_expire_sweep(self, page_image):
-        cache = PageCache(default_ttl_s=10.0)
-        cache.put(_bundle("a.pk/", page_image), 0.0)
-        cache.put(_bundle("b.pk/", page_image), 8.0)
-        assert cache.expire(now=15.0) == 1
-        assert cache.urls() == ["b.pk/"]
 
 
 class TestTransmitters:
@@ -72,6 +31,11 @@ class TestTransmitters:
         assert reg.covering(Location(31.6, 74.4)).station_id == "lhr"
         assert reg.covering(_KARACHI).station_id == "khi"
         assert reg.covering(Location(30.0, 70.0)) is None
+        # Overlapping masts: both cover, the nearer one wins.
+        booster = Location(31.6, 74.5)
+        reg.add(self._tx("lhr-2", booster))
+        assert reg.covering(_LAHORE).station_id == "lhr"
+        assert reg.covering(booster).station_id == "lhr-2"
 
     def test_duplicate_station_rejected(self):
         reg = TransmitterRegistry([self._tx()])
@@ -181,7 +145,7 @@ class TestSonicServer:
         self._request(gateway, server, url, now=700.0)
         gateway.deliver_due(1_300.0)
         assert server.stats.renders == renders_before
-        assert server.stats.cache_hits >= 1
+        assert server.stats.store_hits >= 1
 
     def test_search_builds_results_page(self, server_env):
         gateway, _, registry, server = server_env

@@ -134,11 +134,13 @@ class TestServerIntegration:
     def test_render_bundle_hits_store(self, catalog_server):
         _, server = catalog_server
         url = server.generator.all_urls()[0]
-        _, d1 = server.render_bundle(url, now=0.0)
+        first = server.page(url, now=0.0)
+        assert not first.from_store
         assert server.stats.renders == 1
         # Same (url, epoch): the second call must come from the store.
-        _, d2 = server.render_bundle(url, now=60.0)
-        assert d2 == d1
+        again = server.page(url, now=60.0)
+        assert again.from_store
+        assert again.data == first.data
         assert server.stats.renders == 1
         assert server.stats.store_hits == 1
 
@@ -155,10 +157,10 @@ class TestServerIntegration:
         registry, server = catalog_server
         result = server.push_catalog(registry.get("lhr"), now=0.0, processes=1)
         url = server.generator.all_urls()[0]
-        _, data = server.render_bundle(url, now=60.0)
+        page = server.page(url, now=60.0)
         assert server.stats.renders == 0
         assert server.stats.store_hits == 1
-        assert data == result.pages[0].data
+        assert page.data == result.pages[0].data
 
 
 class TestWorkloadWithPipeline:

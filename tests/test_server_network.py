@@ -18,22 +18,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.radio.lossmodel import FrameLossModel
 from repro.server.network import (
     DEFAULT_PROFILE_LADDER,
     REQUEST_PRIORITY,
     BroadcastNetwork,
     NetworkConfig,
     RegionSpec,
-    Station,
     network_coverage,
     network_partition,
     run_network,
 )
-from repro.server.scheduler import AdaptiveProfileSelector
 from repro.server.transmitters import Transmitter, TransmitterRegistry
 from repro.sim.geometry import Location, RegionPartition
-from repro.sms.protocol import LinkReport
 
 _LAHORE = Location(31.5204, 74.3587)
 _KARACHI = Location(24.8607, 67.0011)
@@ -42,49 +38,14 @@ _KARACHI = Location(24.8607, 67.0011)
 _FAST = dict(hours=2, n_pages=40, tick_s=600.0, pages_per_station=8)
 
 
-def _tx(call_sign="lhr-fm", station="lahore", where=_LAHORE, radius=30.0):
+def _tx(call_sign="lhr-fm", where=_LAHORE, radius=30.0):
     return Transmitter(
         station_id=call_sign,
         location=where,
         frequency_mhz=93.0,
         coverage_km=radius,
         rate_bps=16_000.0,
-        station=station,
     )
-
-
-def _selector():
-    return AdaptiveProfileSelector(
-        {
-            name: (rate, FrameLossModel(fer_midpoint_db=mid, fer_scale_db=scale))
-            for name, rate, mid, scale in DEFAULT_PROFILE_LADDER
-        }
-    )
-
-
-class TestStation:
-    def test_rejects_foreign_transmitter(self):
-        with pytest.raises(ValueError):
-            Station("karachi", [_tx(station="lahore")])
-
-    def test_covering_picks_nearest_own_mast(self):
-        near = _tx("lhr-1", where=_LAHORE)
-        far = _tx("lhr-2", where=Location(31.6, 74.5))
-        station = Station("lahore", [near, far])
-        assert station.covering(_LAHORE) is near
-        assert station.covering(_KARACHI) is None
-
-    def test_observe_report_counts_switches(self):
-        station = Station("lahore", [_tx()], selector=_selector())
-        assert station.observe_report(LinkReport("turbo", 16.0, 0, 256)) == "turbo"
-        assert station.profile_switches == 0  # first advice is not a switch
-        choice = station.observe_report(LinkReport("turbo", 2.0, 200, 256))
-        assert choice != "turbo"
-        assert station.profile_switches == 1
-
-    def test_demand_snapshot_empty_without_ledger(self):
-        station = Station("lahore", [_tx()])
-        assert station.demand_snapshot() == {}
 
 
 class TestConfig:
@@ -259,40 +220,23 @@ class TestDemandLoop:
 class TestRegistryDeterminism:
     @settings(max_examples=30, deadline=None)
     @given(
-        entries=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=999),
-                st.sampled_from(["lahore", "karachi", "multan", "quetta"]),
-            ),
-            max_size=20,
-            unique_by=lambda e: e[0],
+        call_signs=st.lists(
+            st.integers(min_value=0, max_value=999), max_size=20, unique=True
         )
     )
-    def test_same_add_sequence_iterates_identically(self, entries):
+    def test_same_add_sequence_iterates_identically(self, call_signs):
         def build():
             registry = TransmitterRegistry()
-            for call_sign, station in entries:
-                registry.add(_tx(f"tx-{call_sign}", station=station))
+            for call_sign in call_signs:
+                registry.add(_tx(f"tx-{call_sign}"))
             return registry
 
         a, b = build(), build()
         assert [t.station_id for t in a.all()] == [
             t.station_id for t in b.all()
         ]
-        assert a.station_ids() == b.station_ids()
-        # all() preserves add order; station_ids() first-add order.
-        assert [t.station_id for t in a.all()] == [
-            f"tx-{c}" for c, _ in entries
-        ]
-        seen: list[str] = []
-        for _, station in entries:
-            if station not in seen:
-                seen.append(station)
-        assert a.station_ids() == seen
-        for station in seen:
-            assert [t.station_id for t in a.for_station(station)] == [
-                f"tx-{c}" for c, s in entries if s == station
-            ]
+        # all() preserves add order.
+        assert [t.station_id for t in a.all()] == [f"tx-{c}" for c in call_signs]
 
 
 class TestRegionPartition:
