@@ -719,7 +719,6 @@ def _cmd_network(args: argparse.Namespace) -> int:
 def _cmd_tournament(args: argparse.Namespace) -> int:
     """Sweep every modem profile across the channel matrix."""
     from repro.sim.tournament import (
-        SweepStore,
         TournamentConfig,
         run_tournament,
         write_frontier_report,
@@ -739,11 +738,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         loss_threshold=args.loss_threshold,
         store_dir=args.store,
     )
-    result = run_tournament(
-        config,
-        processes=args.processes,
-        store=SweepStore(args.store) if args.store else None,
-    )
+    result = run_tournament(config, processes=args.processes)
     print(
         f"swept {len(result.cells)} cells ({result.n_cached} from store) "
         f"in {result.elapsed_s:.1f}s with {result.processes} process(es)"

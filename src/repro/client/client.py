@@ -8,14 +8,20 @@ Figure 3's three user classes map to :class:`ClientProfile` settings:
   (zero air distance), no SMS.
 * **User C** — radio via audio jack *and* an SMS plan: ``connection=
   "cable"``, ``has_sms=True`` — the only user able to request pages.
+
+Pages are put together by a
+:class:`~repro.client.streaming.StreamingPageAssembler`; the client keeps
+the catalog announcements, its :class:`ClientCache` and the
+``pending_requests``/``upcoming`` bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.client.browser import Browser
 from repro.client.cache import ClientCache
+from repro.client.streaming import StreamingPageAssembler, parse_received
 from repro.sim.geometry import Location
 from repro.sms.gateway import SmsGateway
 from repro.sms.message import SmsMessage
@@ -25,7 +31,7 @@ from repro.sms.protocol import (
     RequestError,
     parse_downlink,
 )
-from repro.transport.bundle import BundleTransport, PageBundle
+from repro.transport.bundle import PageBundle
 from repro.transport.framing import Frame, FrameType
 
 __all__ = ["ClientProfile", "SonicClient"]
@@ -70,17 +76,12 @@ class SonicClient:
         self.browser = Browser(self.cache, scale_factor=profile.scale_factor)
         self._gateway = gateway
         self._server_number = server_number
-        self._transport = BundleTransport()
-        # Keyed by (page_id, version): chunks of different renders of the
-        # same page must never mix.
-        self._partial: dict[tuple[int, int], dict[int, Frame]] = {}
+        self._assembler = StreamingPageAssembler()
         self.pending_requests: dict[str, float] = {}  # url -> request time
         self.acks: list[RequestAck] = []
         self.errors: list[RequestError] = []
         self.upcoming: dict[str, "CatalogEntryInfo"] = {}  # from announcements
         self._catalog_frames: dict[int, Frame] = {}
-        self.frames_seen = 0
-        self.frames_lost = 0
         if gateway is not None and profile.has_sms:
             gateway.register(profile.phone_number, self._on_sms)
 
@@ -93,36 +94,19 @@ class SonicClient:
 
         Returns bundles completed by this batch (already cached).  Gaps
         persist across batches, so later carousel cycles can fill them.
+        Frames reach the page assembler one at a time, so catalog
+        announcements and page completions apply in the order they
+        arrived.
         """
         completed: list[PageBundle] = []
         for frame in frames:
-            self.frames_seen += 1
-            if frame is None:
-                self.frames_lost += 1
-                continue
-            if frame.header.frame_type == FrameType.METADATA:
+            if frame is not None and frame.header.frame_type == FrameType.METADATA:
                 self._ingest_catalog_frame(frame)
-                continue
-            if frame.header.frame_type != FrameType.BUNDLE_BYTES:
-                continue
-            key = (frame.header.page_id, frame.header.col)
-            slots = self._partial.setdefault(key, {})
-            slots[frame.header.seq] = frame
-            if len(slots) == frame.header.total:
-                data = self._transport.reassemble(list(slots.values()))
-                if data is not None:
-                    bundle = PageBundle.from_bytes(data)
-                    self.cache.put(bundle, now)
-                    self.pending_requests.pop(bundle.url, None)
-                    self.upcoming.pop(bundle.url, None)
-                    completed.append(bundle)
-                    del self._partial[key]
-                    # Older partial versions of this page are now moot.
-                    stale = [
-                        k for k in self._partial if k[0] == frame.header.page_id
-                    ]
-                    for k in stale:
-                        del self._partial[k]
+            for bundle in self._assembler.add([frame]):
+                self.cache.put(bundle, now)
+                self.pending_requests.pop(bundle.url, None)
+                self.upcoming.pop(bundle.url, None)
+                completed.append(bundle)
         return completed
 
     def on_received_frames(self, received, now: float) -> list[PageBundle]:
@@ -134,16 +118,7 @@ class SonicClient:
         whole-capture array, progressive page fill-in, and mid-carousel
         tune-in for free (missed columns are gaps a later cycle fills).
         """
-        frames: list[Frame | None] = []
-        for rx in received:
-            if rx.payload is None:
-                frames.append(None)
-                continue
-            try:
-                frames.append(Frame.from_bytes(rx.payload))
-            except (ValueError, KeyError):
-                frames.append(None)
-        return self.on_frames(frames, now)
+        return self.on_frames(parse_received(received), now)
 
     def _ingest_catalog_frame(self, frame: Frame) -> None:
         """Accumulate catalog announcements into the 'upcoming' view."""
@@ -165,13 +140,15 @@ class SonicClient:
 
     def reception_progress(self, page_id: int) -> float:
         """Best reception fraction across in-flight versions of a page."""
-        best = 0.0
-        for (pid, _version), slots in self._partial.items():
-            if pid != page_id or not slots:
-                continue
-            total = next(iter(slots.values())).header.total
-            best = max(best, len(slots) / total)
-        return best
+        return self._assembler.progress(page_id)
+
+    @property
+    def frames_seen(self) -> int:
+        return self._assembler.frames_seen
+
+    @property
+    def frames_lost(self) -> int:
+        return self._assembler.frames_lost
 
     # -- uplink ------------------------------------------------------------
 

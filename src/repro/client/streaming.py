@@ -5,25 +5,37 @@ the carousel is still on air, and the app fills pages in progressively —
 including pages whose transmission was already under way when the user
 tuned in (the missed columns arrive on the next carousel cycle).
 
-:class:`StreamingPageAssembler` is that consumer: feed it the
+:class:`StreamingPageAssembler` is that consumer and the one place a
+page lands: it holds the only ``(page_id, version)`` slot store, decodes
+each bundle once as its last frame lands, and reports reception
+progress.  ``repro stream`` pushes it the
 :class:`~repro.modem.modem.ReceivedFrame` batches a
-:class:`~repro.modem.streaming.StreamingReceiver` emits and it keeps
-per-page fill state, completes bundles as their last frame lands, and
-reports reception progress for the page currently on air.  A full
-:class:`~repro.client.client.SonicClient` does the same via its
-:meth:`~repro.client.client.SonicClient.on_received_frames` adapter;
-this class is the dependency-free core used by ``repro stream``.
+:class:`~repro.modem.streaming.StreamingReceiver` emits; a
+:class:`~repro.client.client.SonicClient` adds parsed frames one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.modem.modem import ReceivedFrame
 from repro.transport.bundle import BundleTransport, PageBundle
 from repro.transport.framing import Frame, FrameType
 
-__all__ = ["AssembledPage", "StreamingPageAssembler"]
+__all__ = ["AssembledPage", "StreamingPageAssembler", "parse_received"]
+
+
+def parse_received(received: Iterable[ReceivedFrame]) -> list[Frame | None]:
+    """Modem output as transport frames; None marks a frame that failed
+    FEC or whose header does not parse."""
+    frames: list[Frame | None] = []
+    for rx in received:
+        try:
+            frames.append(None if rx.payload is None else Frame.from_bytes(rx.payload))
+        except (ValueError, KeyError):
+            frames.append(None)
+    return frames
 
 
 @dataclass(frozen=True)
@@ -53,46 +65,52 @@ class StreamingPageAssembler:
     ) -> list[PageBundle]:
         """Ingest one decoded batch; returns bundles it completed.
 
-        Lost frames (failed FEC) leave gaps that persist across carousel
-        cycles, so a later rebroadcast of the same version fills them —
-        this is also what makes mid-carousel tune-in work: the columns
-        missed before tune-in are just gaps like any other.
+        Each completed bundle is also recorded in :attr:`pages`, stamped
+        with ``now``.
+        """
+        completed = self.add(parse_received(received))
+        self.pages.extend(AssembledPage(bundle, now) for bundle in completed)
+        return completed
+
+    def add(self, frames: list[Frame | None]) -> list[PageBundle]:
+        """Ingest parsed frames (None = lost); returns bundles they completed.
+
+        Lost frames leave gaps that persist across carousel cycles, so a
+        later rebroadcast of the same version fills them — this is also
+        what makes mid-carousel tune-in work: the columns missed before
+        tune-in are just gaps like any other.  A frame whose ``total``
+        disagrees with the frames already held for its version counts as
+        lost, and the held frames stay.
         """
         completed: list[PageBundle] = []
-        for rx in received:
+        for frame in frames:
             self.frames_seen += 1
-            if rx.payload is None:
+            if frame is None:
                 self.frames_lost += 1
                 continue
-            try:
-                frame = Frame.from_bytes(rx.payload)
-            except (ValueError, KeyError):
-                self.frames_lost += 1
-                continue
-            if frame.header.frame_type != FrameType.BUNDLE_BYTES:
+            header = frame.header
+            if header.frame_type != FrameType.BUNDLE_BYTES:
                 self.frames_alien += 1
                 continue
-            key = (frame.header.page_id, frame.header.col)
+            key = (header.page_id, header.col)
             slots = self._partial.setdefault(key, {})
-            slots[frame.header.seq] = frame
-            if len(slots) == frame.header.total:
-                data = self._transport.reassemble(list(slots.values()))
-                del self._partial[key]
-                if data is None:
-                    continue
-                try:
-                    bundle = PageBundle.from_bytes(data)
-                except ValueError:
-                    # Fully received, but the payload is not a bundle
-                    # (synthetic ``repro stream`` traffic, foreign apps).
-                    self.pages_raw += 1
-                else:
-                    self.pages.append(AssembledPage(bundle, now))
-                    completed.append(bundle)
-                # Older partial versions of this page are now moot.
-                stale = [k for k in self._partial if k[0] == key[0]]
-                for k in stale:
-                    del self._partial[k]
+            if slots and next(iter(slots.values())).header.total != header.total:
+                self.frames_lost += 1
+                continue
+            slots[header.seq] = frame
+            if len(slots) < header.total:
+                continue
+            # Every seq below total is held, so this is the whole blob.
+            data = self._transport.reassemble(list(slots.values()))
+            # This version is done; older partial versions are now moot.
+            for k in [k for k in self._partial if k[0] == header.page_id]:
+                del self._partial[k]
+            try:
+                completed.append(PageBundle.from_bytes(data))
+            except ValueError:
+                # Fully received, but the payload is not a bundle
+                # (synthetic ``repro stream`` traffic, foreign apps).
+                self.pages_raw += 1
         return completed
 
     def progress(self, page_id: int) -> float:

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.client.streaming import parse_received
 from repro.imaging.interpolate import interpolate_missing
 from repro.imaging.metrics import psnr_db, ssim
-from repro.modem.modem import Modem, ReceivedFrame
+from repro.modem.modem import Modem
 from repro.transport.framing import Frame
 from repro.transport.partition import ColumnTransport
 from repro.util.rng import derive_rng
@@ -66,16 +67,7 @@ def waveform_to_frames(
     samples: np.ndarray, modem: Modem, frames_per_burst: int = 16
 ) -> list[Frame | None]:
     """Demodulate audio back to transport frames (None = lost)."""
-    out: list[Frame | None] = []
-    for received in modem.receive(samples, frames_per_burst=frames_per_burst):
-        if received.payload is None:
-            out.append(None)
-            continue
-        try:
-            out.append(Frame.from_bytes(received.payload))
-        except (ValueError, KeyError):
-            out.append(None)
-    return out
+    return parse_received(modem.receive(samples, frames_per_burst=frames_per_burst))
 
 
 @dataclass

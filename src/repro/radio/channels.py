@@ -11,11 +11,18 @@ in the client app:
    over "cable" (distance 0), growing loss with distance, aggravated by
    uncontrolled speaker/microphone misalignment, and a hard cliff past
    ~1.1 m.
+
+The acoustic hop has one implementation, the chunked
+:class:`repro.radio.streams.AcousticStream`; :meth:`AcousticChannel.transmit`
+runs it over the whole array as one chunk.  The FM link keeps two:
+:meth:`FmRadioLink.transmit` is the whole-array chain the calibrated RSSI
+experiments use, and :class:`repro.radio.streams.FmLinkStream` is a
+chunk-invariant chain with its own numerics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,16 +81,7 @@ class FmRadioLink:
         peak = float(np.max(np.abs(audio))) if audio.size else 0.0
         scale = cfg.audio_headroom / peak if peak > 0 else 1.0
         mpx = self._mux.compose(audio * scale, stereo_diff=stereo_diff, rds=rds)
-        iq = self._mod.modulate(mpx)
-
-        cnr_db = rssi_dbm - cfg.noise_floor_dbm
-        noise_power = 10.0 ** (-cnr_db / 10.0)  # carrier amplitude is 1
-        rng = derive_rng(self._seed, "fm-link", self._calls)
-        self._calls += 1
-        noise = np.sqrt(noise_power / 2.0) * (
-            rng.normal(size=iq.size) + 1j * rng.normal(size=iq.size)
-        )
-        mpx_rx = self._demod.demodulate(iq + noise)
+        mpx_rx = self._air(mpx, rssi_dbm, "fm-link")
         mono = self._mux.extract_mono(mpx_rx)
         mono = mono[: audio.size] / scale
         if mono.size < audio.size:
@@ -112,15 +110,7 @@ class FmRadioLink:
         peak = max(float(np.max(np.abs(mono))), float(np.max(np.abs(diff))), 1e-9)
         scale = cfg.audio_headroom / peak
         mpx = self._mux.compose(mono * scale, stereo_diff=diff * scale)
-        iq = self._mod.modulate(mpx)
-        cnr_db = rssi_dbm - cfg.noise_floor_dbm
-        noise_power = 10.0 ** (-cnr_db / 10.0)
-        rng = derive_rng(self._seed, "fm-link-stereo", self._calls)
-        self._calls += 1
-        noise = np.sqrt(noise_power / 2.0) * (
-            rng.normal(size=iq.size) + 1j * rng.normal(size=iq.size)
-        )
-        mpx_rx = self._demod.demodulate(iq + noise)
+        mpx_rx = self._air(mpx, rssi_dbm, "fm-link-stereo")
         mono_rx = self._mux.extract_mono(mpx_rx)[:n] / scale
         diff_rx = self._mux.extract_stereo_diff(mpx_rx)[:n] / scale
         return mono_rx, diff_rx
@@ -144,16 +134,21 @@ class FmRadioLink:
         peak = float(np.max(np.abs(audio))) if audio.size else 0.0
         scale = cfg.audio_headroom / peak if peak > 0 else 1.0
         mpx = self._mux.compose(audio * scale, rds=rds)
+        return self._mux.extract_rds_band(self._air(mpx, rssi_dbm, "fm-link-rds"))
+
+    def _air(self, mpx: np.ndarray, rssi_dbm: float, rng_name: str) -> np.ndarray:
+        """One air hop of the multiplex ``mpx``: modulate, add RF noise at
+        ``rssi_dbm``, demodulate.  Takes the link's next RNG call slot,
+        drawn from the stream named ``rng_name``."""
         iq = self._mod.modulate(mpx)
-        cnr_db = rssi_dbm - cfg.noise_floor_dbm
-        noise_power = 10.0 ** (-cnr_db / 10.0)
-        rng = derive_rng(self._seed, "fm-link-rds", self._calls)
+        cnr_db = rssi_dbm - self.config.noise_floor_dbm
+        noise_power = 10.0 ** (-cnr_db / 10.0)  # carrier amplitude is 1
+        rng = derive_rng(self._seed, rng_name, self._calls)
         self._calls += 1
         noise = np.sqrt(noise_power / 2.0) * (
             rng.normal(size=iq.size) + 1j * rng.normal(size=iq.size)
         )
-        mpx_rx = self._demod.demodulate(iq + noise)
-        return self._mux.extract_rds_band(mpx_rx)
+        return self._demod.demodulate(iq + noise)
 
 
 @dataclass(frozen=True)
@@ -225,54 +220,22 @@ class AcousticChannel:
         """Propagate ``audio`` across ``distance_m`` metres of air.
 
         ``distance_m == 0`` models the paper's "cable" configuration
-        (internal FM tuner or jack cable): near-lossless.
+        (internal FM tuner or jack cable): near-lossless.  This is
+        :meth:`stream` run over ``audio`` as one chunk.
         """
-        cfg = self.config
         audio = np.asarray(audio, dtype=np.float64)
-        rng = derive_rng(self._seed, "acoustic", self._calls)
-        self._calls += 1
-
-        out = audio.copy()
-        if distance_m > 0:
-            # Early reflections from the room.
-            for delay_ms, gain in zip(cfg.reverb_delays_ms, cfg.reverb_gains):
-                shift = int(delay_ms * 1e-3 * cfg.sample_rate)
-                if 0 < shift < out.size:
-                    echo = np.zeros_like(out)
-                    echo[shift:] = gain * audio[: audio.size - shift]
-                    out = out + echo
-            # Slow gain flutter: neither the phone nor the radio is held
-            # still, so the effective gain wanders during a transmission.
-            out = out * self._flutter_gain(out.size, distance_m, rng)
-        snr_db = self.effective_snr_db(distance_m, rng)
-        signal_power = float(np.mean(audio**2)) if audio.size else 0.0
-        noise_power = signal_power / (10.0 ** (snr_db / 10.0))
-        out = out + rng.normal(0.0, np.sqrt(max(noise_power, 0.0)), out.size)
-        return out
+        power = float(np.mean(audio**2)) if audio.size else 0.0
+        return self.stream(distance_m, audio.size, power).process(audio)
 
     def stream(
         self, distance_m: float, total_samples: int, signal_power: float
     ):
         """Open a chunked hop across ``distance_m`` metres of air.
 
-        Consumes one RNG call slot, exactly like one :meth:`transmit`
-        call, and — given the same total length and whole-signal power
-        up front — produces bit-identical output for any chunking (see
-        :class:`repro.radio.streams.AcousticStream`).
+        Each open consumes one RNG call slot.  Given the total length and
+        whole-signal power up front, the output is bit-identical for any
+        chunking (see :class:`repro.radio.streams.AcousticStream`).
         """
         from repro.radio.streams import AcousticStream
 
         return AcousticStream(self, distance_m, total_samples, signal_power)
-
-    def _flutter_gain(
-        self, n_samples: int, distance_m: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Smooth random gain trajectory (linear interpolation of knots)."""
-        cfg = self.config
-        sigma = cfg.flutter_sigma_base_db + cfg.flutter_sigma_db_per_m * distance_m
-        knot_samples = max(1, int(cfg.flutter_knot_s * cfg.sample_rate))
-        n_knots = n_samples // knot_samples + 2
-        knots_db = rng.normal(0.0, sigma, n_knots)
-        x = np.arange(n_samples) / knot_samples
-        gain_db = np.interp(x, np.arange(n_knots), knots_db)
-        return 10.0 ** (gain_db / 20.0)

@@ -6,12 +6,12 @@ flows through the channel in O(chunk) memory:
 
 * :class:`AwgnStream` — additive white noise; chunked draws continue the
   generator stream, so output is bit-identical to one whole-array draw.
-* :class:`AcousticStream` — the speaker-to-microphone hop.  Given the
-  total sample count and whole-signal power up front (both known for a
-  scheduled broadcast) its output is **bit-identical** to
-  :meth:`AcousticChannel.transmit` on the concatenated input, for any
-  chunking: reverb carries an input tail, flutter knots are drawn once
-  in the batch RNG order, and noise is drawn sequentially.
+* :class:`AcousticStream` — the speaker-to-microphone hop, and its only
+  implementation: :meth:`AcousticChannel.transmit` runs it as one chunk.
+  Given the total sample count and whole-signal power up front (both
+  known for a scheduled broadcast) its output is **bit-identical** for
+  any chunking: reverb carries an input tail, flutter knots are drawn
+  once for the whole length, and noise is drawn sequentially.
 * :class:`FmLinkStream` — a streaming FM chain (audio -> multiplex ->
   FM -> RF noise -> discriminator -> audio) built from block-anchored
   FFT overlap-save FIRs (:class:`StreamingFir`) and carry-over phase
@@ -53,8 +53,8 @@ class AwgnStream:
 
     Sequential ``Generator.normal`` draws continue the underlying bit
     stream exactly, so chunked processing reproduces a single whole-
-    array draw bit-for-bit — this is what lets the fleet's streaming
-    receive path match its batch path sample-identically.
+    array draw bit-for-bit — this is what makes the fleet's loss maps
+    independent of its chunk size.
     """
 
     def __init__(self, rng: np.random.Generator, sigma: float) -> None:
@@ -72,15 +72,16 @@ class AwgnStream:
 
 
 class AcousticStream:
-    """Chunked :class:`AcousticChannel` hop, bit-exact against batch.
+    """The :class:`AcousticChannel` hop, one chunk at a time.
 
-    The batch path draws, in order: flutter knots (one array sized from
-    the total length), the misalignment penalty (one draw), then the
-    noise (one whole-length draw).  Knowing ``total_samples`` and the
+    It draws, in order: the flutter knots (one array sized from the
+    total length) and the misalignment penalty (one draw) at
+    construction, then the noise sequentially per chunk, which continues
+    the generator bit stream.  Knowing ``total_samples`` and the
     whole-signal ``signal_power`` up front — both are known for a
-    scheduled broadcast — lets the stream replay that exact order with
-    the knots and misalignment at construction and the noise drawn
-    sequentially per chunk, which continues the generator bit stream.
+    scheduled broadcast — makes the output identical for any chunking,
+    and equal to one whole-array pass: room reverb, a flutter gain
+    interpolated between the knots, then white noise.
     """
 
     def __init__(
@@ -106,7 +107,7 @@ class AcousticStream:
         if distance_m > 0:
             for delay_ms, gain in zip(cfg.reverb_delays_ms, cfg.reverb_gains):
                 shift = int(delay_ms * 1e-3 * cfg.sample_rate)
-                # The batch path gates each echo on the *total* length.
+                # Each echo is gated on the *total* length.
                 if 0 < shift < total_samples:
                     self._taps.append((shift, gain))
             sigma = cfg.flutter_sigma_base_db + cfg.flutter_sigma_db_per_m * distance_m
@@ -132,7 +133,7 @@ class AcousticStream:
             base = ext.size - chunk.size  # index of chunk[0] within ext
             for shift, gain in self._taps:
                 # echo[i] = gain * audio[pos + i - shift]; samples before
-                # the stream start contribute nothing (batch zero-fill).
+                # the stream start contribute nothing.
                 src_lo = base - shift
                 n_skip = max(0, -(self._pos - shift))  # leading zeros
                 if n_skip < chunk.size:
@@ -140,6 +141,8 @@ class AcousticStream:
                     out[n_skip : n_skip + seg.size] += gain * seg
             if self._max_shift:
                 self._tail = ext[-self._max_shift :]
+            # Slow gain flutter: neither the phone nor the radio is held
+            # still, so the effective gain wanders during a transmission.
             x = np.arange(self._pos, self._pos + chunk.size) / self._knot_samples
             gain_db = np.interp(x, np.arange(self._knots_db.size), self._knots_db)
             out = out * (10.0 ** (gain_db / 20.0))

@@ -680,17 +680,6 @@ class RequestFrontend:
             store_misses=self.resolver.store_misses,
         )
 
-    def demand_snapshot(
-        self, since: float | None = None, until: float | None = None
-    ) -> dict[int, int]:
-        """Per-URL demand counts from the ledger (cheap indexed read).
-
-        This is the signal the multi-station :class:`~repro.server.scheduler.
-        DemandScheduler` consumes at epoch boundaries: how many requests each
-        page drew in a time window, shed and deferred ones included.
-        """
-        return self.ledger.demand_counts(since=since, until=until)
-
     def health(self) -> dict[str, float]:
         """Service-health snapshot (the aiosqlite-bot idiom, sim-time)."""
         s = self.stats

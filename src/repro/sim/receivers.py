@@ -10,10 +10,13 @@ receivers across a :class:`~repro.util.parallel.WorkerPool`:
   array, so a minutes-long broadcast is not pickled per worker;
 * every receiver draws its channel impairment from
   ``derive_rng(master_seed, "fleet-rx", idx)``, which makes the fleet's
-  loss maps identical whether it runs serially or on the pool; and
+  loss maps identical whether it runs serially or on the pool;
 * each worker (or, serially, this process) builds one
   :class:`~repro.modem.modem.Modem` and reuses it for every receiver it
-  simulates.
+  simulates; and
+* each receiver runs one path, a channel stream then a
+  :class:`~repro.modem.streaming.StreamingReceiver`, whose loss maps do
+  not depend on ``FleetConfig.chunk_samples``.
 
 The per-receiver loss maps feed the existing workload/user-study layers
 exactly like a single :meth:`Modem.receive` call would.
@@ -27,8 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.modem.modem import Modem
+from repro.modem.streaming import StreamingReceiver
 from repro.radio.channels import AcousticChannel
 from repro.radio.lossmodel import CalibrationStore, FrameLossModel, calibration_digest
+from repro.radio.streams import AcousticStream, AwgnStream
 from repro.sim.population import PopulationConfig, PopulationResult, run_population
 from repro.util.parallel import WorkerPool, worker_count
 from repro.util.rng import derive_rng
@@ -53,9 +58,9 @@ class FleetConfig:
     profile: str = "sonic-ofdm"
     impairment: str = "awgn"  # one of IMPAIRMENTS
     frames_per_burst: int | None = 16
-    # With chunk_samples set, each receiver runs the chunked dataflow
-    # (channel stream + StreamingReceiver) in O(chunk) working memory.
-    # Loss maps are bit-identical to the batch path by construction.
+    # Samples per chunk through each receiver's channel stream and
+    # StreamingReceiver (None: the whole waveform as one chunk).  A set
+    # chunk bounds working memory; loss maps do not depend on it.
     chunk_samples: int | None = None
     # AWGN impairment: per-receiver SNR drawn uniformly from
     # [snr_db - snr_spread_db/2, snr_db + snr_spread_db/2].
@@ -134,103 +139,44 @@ class FleetResult:
         return [r.loss_map for r in self.reports]
 
 
-def _draw_channel(
-    config: FleetConfig, idx: int
-) -> tuple[float, AcousticChannel | None, np.random.Generator]:
-    """Receiver ``idx``'s channel realisation, shared by batch + stream.
+def _channel(
+    waveform: np.ndarray, config: FleetConfig, idx: int
+) -> tuple[AwgnStream | AcousticStream | None, float]:
+    """Receiver ``idx``'s channel stream (None for clean) and its
+    realised SNR (dB), distance (m) or 0.0.
 
-    All randomness is keyed on ``(master_seed, "fleet-rx", idx)`` only,
-    so the realisation does not depend on which process runs the
-    receiver.  Returns ``(parameter, acoustic_channel, rng)``: the
-    parameter is the realised SNR (dB), distance (m), or 0.0 for clean;
-    the channel is built only for the acoustic impairment; the rng has
-    consumed exactly the draws both paths share, so callers continue
-    the stream identically (AWGN noise comes out of this same rng in
-    the batch array draw and the chunked stream alike).
+    All randomness comes from ``derive_rng(master_seed, "fleet-rx",
+    idx)``, so it does not depend on which process runs the receiver:
+    the parameter draw, then the AWGN noise or the acoustic seed.
     """
     rng = derive_rng(config.master_seed, "fleet-rx", idx)
     if config.impairment == "clean":
-        return 0.0, None, rng
+        return None, 0.0
+    power = float(np.mean(waveform**2)) if waveform.size else 0.0
     if config.impairment == "awgn":
         snr_db = config.snr_db + config.snr_spread_db * (rng.random() - 0.5)
-        return snr_db, None, rng
+        sigma = float(np.sqrt(power / (10.0 ** (snr_db / 10.0))))
+        return AwgnStream(rng, sigma), snr_db
     distance = config.distance_m + config.distance_spread_m * (rng.random() - 0.5)
     distance = max(0.0, distance)
     channel = AcousticChannel(seed=int(rng.integers(0, 2**31 - 1)))
-    return distance, channel, rng
-
-
-def _awgn_sigma(waveform: np.ndarray, snr_db: float) -> float:
-    signal_power = float(np.mean(waveform**2)) if waveform.size else 0.0
-    return float(np.sqrt(signal_power / (10.0 ** (snr_db / 10.0))))
-
-
-def _impair(
-    waveform: np.ndarray, config: FleetConfig, idx: int
-) -> tuple[np.ndarray, float]:
-    """Apply receiver ``idx``'s channel draw; returns (audio, parameter)."""
-    param, channel, rng = _draw_channel(config, idx)
-    if config.impairment == "clean":
-        return waveform, param
-    if config.impairment == "awgn":
-        noisy = waveform + rng.normal(0.0, _awgn_sigma(waveform, param), waveform.size)
-        return noisy, param
-    return channel.transmit(waveform, param), param
-
-
-def _impair_stream(
-    waveform: np.ndarray, config: FleetConfig, idx: int
-) -> tuple[object | None, float]:
-    """Chunk-capable channel for receiver ``idx``; same draws as batch.
-
-    The AWGN stream continues the very generator bit stream the batch
-    path consumes in one whole-array draw, and the acoustic stream is
-    pinned bit-exact against :meth:`AcousticChannel.transmit`, so the
-    chunked fleet produces identical loss maps.
-    """
-    from repro.radio.streams import AwgnStream
-
-    param, channel, rng = _draw_channel(config, idx)
-    if config.impairment == "clean":
-        return None, param
-    if config.impairment == "awgn":
-        return AwgnStream(rng, _awgn_sigma(waveform, param)), param
-    signal_power = float(np.mean(waveform**2)) if waveform.size else 0.0
-    return channel.stream(param, waveform.size, signal_power), param
+    return channel.stream(distance, waveform.size, power), distance
 
 
 def _receive_one(
     waveform: np.ndarray, modem: Modem, config: FleetConfig, idx: int
 ) -> ReceiverReport:
-    if config.chunk_samples is not None:
-        return _receive_one_streaming(waveform, modem, config, idx)
-    audio, param = _impair(waveform, config, idx)
-    frames = modem.receive(audio, frames_per_burst=config.frames_per_burst)
-    loss_map = tuple(not f.ok for f in frames)
-    return ReceiverReport(
-        receiver_id=idx,
-        channel_param=float(param),
-        n_frames=len(frames),
-        n_ok=int(sum(f.ok for f in frames)),
-        loss_map=loss_map,
-    )
+    """Receiver ``idx``: its channel stream, then a streaming receiver.
 
-
-def _receive_one_streaming(
-    waveform: np.ndarray, modem: Modem, config: FleetConfig, idx: int
-) -> ReceiverReport:
-    """Chunked channel + receiver pipeline: O(chunk) working memory.
-
-    The broadcast waveform itself lives once (shared memory on the
-    pool); per-receiver state is one chunk in flight plus at most one
-    burst buffered inside the streaming receiver.
+    The broadcast goes through ``config.chunk_samples`` at a time, or as
+    one chunk when that is None.  The waveform itself lives once (shared
+    memory on the pool); per-receiver state is one chunk in flight plus
+    at most one burst buffered inside the streaming receiver.
     """
-    from repro.modem.streaming import StreamingReceiver
-
-    stream, param = _impair_stream(waveform, config, idx)
+    stream, param = _channel(waveform, config, idx)
     receiver = StreamingReceiver(modem, frames_per_burst=config.frames_per_burst)
     frames = []
-    step = config.chunk_samples
+    step = config.chunk_samples or max(1, waveform.size)
     for i in range(0, waveform.size, step):
         chunk = waveform[i : i + step]
         if stream is not None:

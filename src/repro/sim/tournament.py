@@ -383,18 +383,17 @@ def _enumerate_cells(
 def run_tournament(
     config: TournamentConfig = TournamentConfig(),
     processes: int | None = None,
-    store: SweepStore | None = None,
 ) -> TournamentResult:
     """Sweep every profile across the channel matrix.
 
     ``processes=None`` picks ``min(n_cells, cpu_count)``; ``processes<=1``
     runs serially.  Results are bit-identical either way: each cell's
     randomness is a pure function of its identity.  Cells answered by
-    the (memo or on-disk) :class:`SweepStore` skip the DSP entirely.
+    the :class:`SweepStore` over ``config.store_dir`` (an in-process
+    memo when that is None) skip the DSP entirely.
     """
     t0 = time.perf_counter()
-    if store is None:
-        store = SweepStore(config.store_dir)
+    store = SweepStore(config.store_dir)
     contenders = {name: Contender(name, config) for name in config.profiles}
     tasks = _enumerate_cells(config)
 

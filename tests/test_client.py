@@ -1,5 +1,7 @@
 """SONIC client: cache, catalog, browser, frame ingestion, uplink."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.sim.geometry import Location
 from repro.sms.gateway import GatewayConfig, SmsGateway
 from repro.sms.protocol import parse_uplink, PageRequest
 from repro.transport.bundle import BundleTransport, PageBundle
+from repro.transport.framing import Frame
 from repro.web.clickmap import ClickMap, ClickRegion
 
 _LAHORE = Location(31.5204, 74.3587)
@@ -161,6 +164,31 @@ class TestSonicClient:
         client.on_frames(v1[: len(v1) // 2], 1.0)
         done = client.on_frames(v2, 2.0)
         assert len(done) == 1
+
+    def test_non_bundle_payload_is_counted_and_dropped(self):
+        """A blob that reassembles but is not a bundle is dropped, not
+        raised: the assembler counts it in ``pages_raw``."""
+        client = SonicClient(self._profiles()["a"])
+        frames = BundleTransport().chunk(b"not a bundle at all", page_id=7)
+        assert client.on_frames(frames, 0.0) == []
+        assert len(client.cache) == 0
+        assert client._assembler.pages_raw == 1
+        assert client.reception_progress(7) == 0.0
+
+    def test_conflicting_total_counts_as_lost(self, page_image):
+        """A CRC-valid frame whose ``total`` disagrees with the frames
+        held for its version counts as lost; the held frames stay."""
+        client = SonicClient(self._profiles()["a"])
+        bundle = _bundle("a.pk/", page_image)
+        frames = BundleTransport().chunk(bundle.to_bytes(), page_id=4)
+        assert len(frames) >= 3
+        liar = Frame(replace(frames[1].header, total=2), frames[1].payload)
+        assert client.on_frames([frames[0], liar], 1.0) == []
+        assert client.frames_lost == 1
+        assert client.reception_progress(4) == 1 / len(frames)
+        done = client.on_frames(frames[1:], 2.0)
+        assert [b.url for b in done] == ["a.pk/"]
+        assert client.frames_seen == 1 + len(frames)
 
     def test_request_requires_sms(self, page_image):
         profiles = self._profiles()

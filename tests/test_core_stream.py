@@ -10,14 +10,14 @@ memory over long broadcasts and mid-carousel tune-in.
 import numpy as np
 import pytest
 
-from repro.client.streaming import StreamingPageAssembler
+from repro.client.streaming import StreamingPageAssembler, parse_received
 from repro.core.pipeline import frames_to_waveform
 from repro.core.stream import (
     CarouselFrameSource,
     StreamSession,
     WaveformSource,
 )
-from repro.modem.modem import Modem
+from repro.modem.modem import Modem, ReceivedFrame
 from repro.modem.streaming import StreamingReceiver
 from repro.server.transmitters import BroadcastEncodeCache
 from repro.transport.bundle import BundleTransport
@@ -313,6 +313,52 @@ class TestStreamSession:
         session = StreamSession(src, StreamingReceiver(modem, frames_per_burst=2))
         stats = session.run(duration_s=2.0)
         assert stats.audio_seconds == pytest.approx(2.0, abs=0.1)
+
+
+class TestStreamingPageAssembler:
+    @staticmethod
+    def _received(frames):
+        return [ReceivedFrame(f.to_bytes(), 0, 0.0, 1.0) for f in frames]
+
+    def test_conflicting_total_counts_as_lost(self):
+        """Seq 0 of total 3, then seq 1 claiming total 2: the second
+        frame is lost, and seq 0 still completes with the rest."""
+        frames = BundleTransport().chunk(bytes(2 * PAYLOAD_SIZE + 1), page_id=9)
+        assert len(frames) == 3
+        liar = Frame(
+            FrameHeader(FrameType.BUNDLE_BYTES, 9, seq=1, total=2, n_pixels=PAYLOAD_SIZE),
+            frames[1].payload,
+        )
+        assembler = StreamingPageAssembler()
+        assembler.push(self._received([frames[0], liar]))
+        assert assembler.frames_lost == 1
+        assert assembler.progress(9) == pytest.approx(1 / 3)
+        assembler.push(self._received(frames[1:]))
+        assert assembler.pages_raw == 1  # complete; raw bytes, not a bundle
+        assert assembler.partial_pages == 0
+
+    def test_push_records_pages_and_add_does_not(self, page_image):
+        from repro.transport.bundle import PageBundle
+        from repro.web.clickmap import ClickMap
+
+        bundle = PageBundle("a.pk/", page_image, ClickMap())
+        frames = BundleTransport().chunk(bundle.to_bytes(), page_id=2)
+        pushed = StreamingPageAssembler()
+        done = pushed.push(self._received(frames), now=5.0)
+        assert [p.bundle for p in pushed.pages] == done
+        assert pushed.pages[0].completed_at == 5.0
+        added = StreamingPageAssembler()
+        assert [b.url for b in added.add(list(frames))] == ["a.pk/"]
+        assert added.pages == [] and added.pages_completed == 0
+
+    def test_parse_received_marks_lost_and_garbage_frames(self):
+        frame = _frames(1)[0]
+        received = [
+            ReceivedFrame(frame.to_bytes(), 0, 0.0, 1.0),
+            ReceivedFrame(None, 0, 0.0, 1.0),
+            ReceivedFrame(b"\xff" * len(frame.to_bytes()), 0, 0.0, 1.0),
+        ]
+        assert parse_received(received) == [frame, None, None]
 
 
 class TestSonicSystemStream:

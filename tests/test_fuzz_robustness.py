@@ -6,6 +6,8 @@ documented exception (or an empty result) — never a hang, never a
 foreign traceback, never silently wrong data that passes a checksum.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -98,6 +100,83 @@ class TestBundleFuzz:
             assert isinstance(len(cm), int)
         except ValueError:
             pass
+
+
+class TestPageAssemblyFuzz:
+    """``SonicClient.on_frames`` is the frame trust boundary: whatever
+    mix of frames the air delivers, it never raises and never caches a
+    page that was not sent."""
+
+    @pytest.fixture(scope="class")
+    def sent(self, photo_image):
+        """Three small real bundles, each on its own page id and version."""
+        out = []
+        for i in range(3):
+            image = np.roll(photo_image[:24, :40], 9 * i, axis=1)
+            clicks = ClickMap([ClickRegion(0, 0, 8, 8, f"p{i}.pk/a")])
+            data = PageBundle(f"p{i}.pk/", image, clicks).to_bytes()
+            frames = BundleTransport().chunk(data, page_id=i + 1, version=i)
+            out.append((PageBundle.from_bytes(data).to_bytes(), frames))
+        return out
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_client_caches_only_sent_pages(self, sent, data):
+        from repro.client.client import ClientProfile, SonicClient
+        from repro.sim.geometry import Location
+        from repro.transport.metadata import CatalogAnnouncement, CatalogEntryInfo
+
+        def copies(frames):
+            """Each frame dropped, kept or duplicated."""
+            counts = data.draw(
+                st.lists(st.integers(0, 2), min_size=len(frames), max_size=len(frames))
+            )
+            return [f for f, n in zip(frames, counts) for _ in range(n)], min(counts)
+
+        stream, all_arrived = [], []
+        for _, frames in sent:
+            kept, least = copies(frames)
+            stream += kept
+            all_arrived.append(least > 0)
+        announcement = CatalogAnnouncement(
+            "s", [CatalogEntryInfo(f"p{i}.pk/", i + 1, i, 500, 5.0) for i in range(3)]
+        )
+        stream += copies(announcement.to_frames())[0]
+        blob = data.draw(st.binary(min_size=1, max_size=4 * PAYLOAD_SIZE))
+        stream += copies(BundleTransport().chunk(blob, page_id=50))[0]
+        stream += [None] * data.draw(st.integers(0, 4))
+        stream = data.draw(st.permutations(stream))
+        # Frames with a conflicting total, each placed after the first
+        # real frame of its version so that version's slots stay held.
+        for _ in range(data.draw(st.integers(0, 4))):
+            _, frames = sent[data.draw(st.integers(0, len(sent) - 1))]
+            total = frames[0].header.total
+            seq = data.draw(st.integers(0, total - 1))
+            liar_total = data.draw(
+                st.integers(seq + 1, total + 2).filter(lambda t: t != total)
+            )
+            real = frames[seq]
+            liar = Frame(replace(real.header, total=liar_total), real.payload)
+            key = (real.header.page_id, real.header.col)
+            first = next(
+                (i for i, f in enumerate(stream) if f is not None
+                 and (f.header.page_id, f.header.col) == key),
+                len(stream),
+            )
+            stream.insert(data.draw(st.integers(first + 1, len(stream) + 1)), liar)
+
+        client = SonicClient(ClientProfile("u", Location(31.5, 74.3)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=4)))
+        for t, (lo, hi) in enumerate(zip([0] + cuts, cuts + [len(stream)])):
+            client.on_frames(stream[lo:hi], now=float(t))
+
+        assert client.frames_seen == len(stream)
+        sent_bytes = {blob for blob, _ in sent}
+        for url in client.cache.urls():
+            assert client.cache.get(url, 0.0).to_bytes() in sent_bytes
+        for i, arrived in enumerate(all_arrived):
+            if arrived:
+                assert f"p{i}.pk/" in client.cache
 
 
 class TestModemFuzz:

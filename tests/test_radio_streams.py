@@ -2,9 +2,10 @@
 
 Two distinct guarantees, per stream:
 
-* ``AcousticStream`` replays :meth:`AcousticChannel.transmit` — same
-  seed, same RNG consumption order — so chunked output is bit-identical
-  to the whole-array channel.
+* ``AcousticStream`` is the whole acoustic hop: :meth:`AcousticChannel.transmit`
+  is one chunk of it, and both equal the frozen whole-array channel in
+  ``tests/reference/acoustic.py`` bit for bit, for any chunking and
+  call slot for call slot.
 * ``FmLinkStream`` is chunk-*invariant* (any chunking of the input gives
   bit-identical output) and length-preserving, with the same threshold
   behaviour as the batch link; it is a streaming FM chain in its own
@@ -22,6 +23,7 @@ from repro.modem.modem import Modem
 from repro.modem.streaming import StreamingReceiver
 from repro.radio.channels import AcousticChannel, FmRadioLink
 from repro.radio.streams import NOISE_BLOCK, AwgnStream, StreamingFir
+from tests.reference.acoustic import acoustic_transmit_ref
 from tests.reference.streaming_dsp import (
     StreamingFirRef,
     fm_link_stream_ref,
@@ -82,9 +84,12 @@ class TestAwgnStream:
 class TestAcousticStream:
     @pytest.mark.parametrize("distance_m", [0.0, 0.5, 1.3])
     def test_bit_identical_to_batch_channel(self, burst, distance_m):
+        """``transmit`` and every chunking of the stream equal the frozen
+        whole-array channel, at the cable, mid-room and past the cliff."""
         _, wave, _ = burst
         power = float(np.mean(wave**2))
-        batch = AcousticChannel(seed=77).transmit(wave, distance_m)
+        batch = acoustic_transmit_ref(AcousticChannel(seed=77), wave, distance_m)
+        assert np.array_equal(AcousticChannel(seed=77).transmit(wave, distance_m), batch)
         for sizes in ([997], [4800], [wave.size], [1, 48_000]):
             stream = AcousticChannel(seed=77).stream(
                 distance_m, wave.size, power
@@ -92,18 +97,33 @@ class TestAcousticStream:
             assert np.array_equal(_run_chunked(stream, wave, sizes), batch)
 
     def test_rng_call_slots_advance(self, burst):
-        """Opening a stream consumes one channel call slot, like transmit."""
+        """Each ``transmit`` and each stream open take one channel call
+        slot, as each call of the reference does."""
         _, wave, _ = burst
         power = float(np.mean(wave**2))
-        ch_batch = AcousticChannel(seed=3)
-        first_b = ch_batch.transmit(wave, 0.5)
-        second_b = ch_batch.transmit(wave, 0.5)
+        ch_ref = AcousticChannel(seed=3)
+        first_b = acoustic_transmit_ref(ch_ref, wave, 0.5)
+        second_b = acoustic_transmit_ref(ch_ref, wave, 0.5)
+        ch_tx = AcousticChannel(seed=3)
+        assert np.array_equal(ch_tx.transmit(wave, 0.5), first_b)
+        assert np.array_equal(ch_tx.transmit(wave, 0.5), second_b)
         ch_stream = AcousticChannel(seed=3)
         first_s = _run_chunked(ch_stream.stream(0.5, wave.size, power), wave, [4800])
         second_s = _run_chunked(ch_stream.stream(0.5, wave.size, power), wave, [4800])
         assert np.array_equal(first_s, first_b)
         assert np.array_equal(second_s, second_b)
         assert not np.array_equal(first_b, second_b)  # slots differ
+
+    @pytest.mark.parametrize("distance_m", [0.0, 0.5, 1.3])
+    def test_empty_input_takes_a_call_slot(self, burst, distance_m):
+        _, wave, _ = burst
+        ch, ch_ref = AcousticChannel(seed=9), AcousticChannel(seed=9)
+        assert ch.transmit(np.zeros(0), distance_m).size == 0
+        assert acoustic_transmit_ref(ch_ref, np.zeros(0), distance_m).size == 0
+        assert np.array_equal(
+            ch.transmit(wave, distance_m),
+            acoustic_transmit_ref(ch_ref, wave, distance_m),
+        )
 
     def test_overrun_raises(self, burst):
         _, wave, _ = burst

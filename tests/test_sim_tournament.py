@@ -7,7 +7,6 @@ import pytest
 
 from repro.sim.tournament import (
     Contender,
-    SweepStore,
     TournamentConfig,
     TournamentResult,
     run_tournament,
@@ -86,11 +85,11 @@ class TestDeterminismAndCaching:
         assert [key(c) for c in warm.cells] == [key(c) for c in cold.cells]
 
     def test_store_survives_process_boundary_shape(self, tmp_path):
-        """A fresh SweepStore over the same directory answers from disk."""
+        """A fresh SweepStore over the same directory answers from disk:
+        each run opens its own store over ``store_dir``."""
         cfg = TournamentConfig(**TINY, store_dir=str(tmp_path))
         run_tournament(cfg, processes=1)
-        fresh = SweepStore(tmp_path)
-        warm = run_tournament(cfg, processes=1, store=fresh)
+        warm = run_tournament(cfg, processes=1)
         assert warm.n_cached == len(warm.cells)
 
     def test_seed_changes_digest(self, tmp_path):

@@ -100,6 +100,31 @@ class TestClientIngestion:
         assert "a.pk/" in client.cache
 
 
+    def test_one_batch_keeps_air_order(self, page_image):
+        """Within one batch, an announcement followed by its page leaves
+        nothing upcoming; the page followed by a new announcement of it
+        lists it again."""
+        from repro.client.client import ClientProfile, SonicClient
+        from repro.sim.geometry import Location
+        from repro.transport.bundle import BundleTransport, PageBundle
+        from repro.web.clickmap import ClickMap
+
+        announcement = CatalogAnnouncement(
+            "s", [CatalogEntryInfo("a.pk/", 4, 0, 10, 5.0)]
+        )
+        page = BundleTransport().chunk(
+            PageBundle("a.pk/", page_image, ClickMap()).to_bytes(), page_id=4
+        )
+        client = SonicClient(ClientProfile("u", Location(31.5, 74.3)))
+        client.on_frames(list(announcement.to_frames()) + page, now=1.0)
+        assert "a.pk/" in client.cache
+        assert "a.pk/" not in client.upcoming
+        client = SonicClient(ClientProfile("u", Location(31.5, 74.3)))
+        client.on_frames(page + list(announcement.to_frames()), now=1.0)
+        assert "a.pk/" in client.cache
+        assert "a.pk/" in client.upcoming
+
+
 class TestServerBroadcast:
     def test_server_announces_queue(self):
         from repro.core.config import SystemConfig
