@@ -13,7 +13,7 @@ curious user would actually run:
 * ``stream``               live chunked broadcast: carousel -> audio -> pages
 * ``catalog``              top-N catalog: render -> encode -> modem -> decode
 * ``serve``                batched SMS request front end over a simulated day
-* ``network``              sharded multi-station broadcast day
+* ``network``              multi-station broadcast day over N workers
 * ``tournament``           race the modem profiles across the channel matrix
 
 Performance is measured by the separate ``python3 -m bench`` harness.
@@ -186,10 +186,9 @@ def _print_population_report(result) -> None:
     """Population distributions of a two-tier fleet run."""
     pop = result.population
     model = result.calibration
-    src = "store" if result.calibration_cached else "fitted from tier 1"
     print(
         f"\ncalibration: FER midpoint {model.fer_midpoint_db:.2f} dB, "
-        f"scale {model.fer_scale_db:.2f} dB ({src})"
+        f"scale {model.fer_scale_db:.2f} dB (fitted from tier 1)"
     )
     cfg = pop.config
     print(
@@ -273,7 +272,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         snr_spread_db=args.cal_spread_db if population else 6.0,
         distance_m=args.distance_m,
         population=population,
-        calibration_dir=args.calibration_dir,
     )
     result = run_fleet(wave, config, processes=args.processes)
 
@@ -458,6 +456,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     from repro.server.cache import BundleStore
     from repro.server.catalog import CatalogConfig, CatalogPipeline
     from repro.transport.bundle import BundleTransport, PageBundle
+    from repro.util.parallel import worker_count
     from repro.util.rng import derive_rng
 
     store = BundleStore(directory=args.store)
@@ -472,7 +471,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         store=store,
     )
     urls = pipeline.generator.all_urls()[: args.top]
-    result = pipeline.encode_catalog(urls, hour=args.hour, processes=args.processes)
+    with pipeline.start(worker_count(args.processes, args.top)):
+        result = pipeline.encode_catalog(urls, hour=args.hour)
 
     modem = Modem(args.profile)
     transport = BundleTransport()
@@ -552,9 +552,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             store=BundleStore(directory=args.store) if args.store else None,
         )
-        # Persistent pool: workers spawn once and build their renderer
-        # once, then serve every resolve for the whole day.
-        pipeline.start(args.processes)
+        # One pool for the whole day: workers fork once and build their
+        # renderer once, then serve every resolve.
         resolver = CatalogResolver(pipeline, processes=args.processes)
     else:
         resolver = SizeModelResolver(
@@ -643,11 +642,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
-    """Simulate a multi-region broadcast day on the sharded network."""
+    """Simulate a multi-region broadcast day over N worker processes."""
     import json
     import time
 
     from repro.server.network import NetworkConfig, network_coverage, run_network
+    from repro.util.parallel import worker_count
 
     config = NetworkConfig(
         n_stations=args.stations,
@@ -658,13 +658,14 @@ def _cmd_network(args: argparse.Namespace) -> int:
         pages_per_station=args.pages_per_station,
         request_rate_per_s=args.rate,
     )
+    processes = worker_count(args.processes, config.n_stations)
     t0 = time.perf_counter()
-    result = run_network(config, sharded=args.sharded, processes=args.processes)
+    result = run_network(config, processes)
     elapsed = time.perf_counter() - t0
-    mode = "sharded" if args.sharded else "serial"
     print(
         f"{config.n_stations} stations x {config.hours}h "
-        f"({config.n_pages}-page corpus) in {elapsed:.2f}s, {mode}"
+        f"({config.n_pages}-page corpus) in {elapsed:.2f}s, "
+        f"{processes} process(es)"
     )
     print(
         f"{'station':<12} {'requests':>9} {'broadcast':>9} {'shed':>6} "
@@ -687,14 +688,18 @@ def _cmd_network(args: argparse.Namespace) -> int:
     print(f"network digest: {result.network_digest()}")
 
     if args.verify:
-        other = run_network(config, sharded=not args.sharded)
-        if other.network_digest() != result.network_digest():
+        other = worker_count(2 if processes == 1 else 1, config.n_stations)
+        if run_network(config, other).network_digest() != result.network_digest():
             print(
-                "error: serial and sharded runs diverged (digest mismatch)",
+                f"error: {processes}- and {other}-process runs diverged "
+                f"(digest mismatch)",
                 file=sys.stderr,
             )
             return 1
-        print("determinism: serial == sharded (digest match)")
+        print(
+            f"determinism: {processes} process(es) == {other} process(es) "
+            f"(digest match)"
+        )
     if args.coverage:
         print(f"\nper-station coverage ({args.coverage:,} Tier-2 listeners):")
         for cov in network_coverage(config, args.coverage, result=result):
@@ -879,13 +884,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "mode; sweeps the FER transition)")
     p.add_argument("--cal-spread-db", type=float, default=10.0,
                    help="tier-1 calibration fleet SNR spread (population mode)")
-    p.add_argument("--calibration-dir", default=None,
-                   help="directory for persisted loss-curve calibrations")
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser(
         "network",
-        help="simulate a sharded multi-region broadcast day "
+        help="simulate a multi-region broadcast day "
              "(demand-driven page scheduling)",
     )
     p.add_argument("--stations", type=int, default=4,
@@ -901,12 +904,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-epoch airtime budget of each station")
     p.add_argument("--rate", type=float, default=None,
                    help="override every region's SMS request rate (req/s)")
-    p.add_argument("--sharded", action="store_true",
-                   help="step each epoch's stations concurrently")
-    p.add_argument("--processes", type=int, default=None,
-                   help="worker processes for --sharded")
+    p.add_argument("--processes", type=int, default=1,
+                   help="worker processes stepping each epoch's stations")
     p.add_argument("--verify", action="store_true",
-                   help="re-run in the other mode and compare digests")
+                   help="re-run on 2 workers (on 1 if --processes is not 1) "
+                        "and compare digests")
     p.add_argument("--coverage", type=int, default=0, metavar="N",
                    help="also report per-station Tier-2 coverage for N listeners")
     p.add_argument("--json", default=None,

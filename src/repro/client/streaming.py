@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.imaging.codec import CodecError
 from repro.modem.modem import ReceivedFrame
 from repro.transport.bundle import BundleTransport, PageBundle
 from repro.transport.framing import Frame, FrameType
@@ -107,9 +108,11 @@ class StreamingPageAssembler:
                 del self._partial[k]
             try:
                 completed.append(PageBundle.from_bytes(data))
-            except ValueError:
+            except (ValueError, CodecError):
                 # Fully received, but the payload is not a bundle
-                # (synthetic ``repro stream`` traffic, foreign apps).
+                # (synthetic ``repro stream`` traffic, foreign apps), or
+                # its image does not decode (frames of two blobs sent
+                # under one version).
                 self.pages_raw += 1
         return completed
 

@@ -13,9 +13,9 @@ need a cheaper equivalent.  This model reduces the chain to:
 The default curve constants are calibration constants of this
 reproduction, documented in DESIGN.md.  :meth:`FrameLossModel.
 fit_from_runs` re-derives them from *measured* fleet outcomes (the
-two-tier population simulator's Tier 1), and :class:`CalibrationStore`
-persists fitted curves keyed by a profile+channel digest so repeat runs
-skip recalibration.
+two-tier population simulator's Tier 1), and :func:`calibration_digest`
+names a profile+channel pair (the tournament keys its memoised sweep
+cells on it).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ from repro.util.rng import derive_rng
 __all__ = [
     "FrameLossModel",
     "fit_logistic_fer",
-    "CalibrationStore",
     "calibration_digest",
 ]
 
@@ -200,53 +198,12 @@ class FrameLossModel:
 def calibration_digest(profile: str, **channel: object) -> str:
     """Stable digest of a (profile, channel conditions) pair.
 
-    The two-tier fleet keys persisted calibrations on this, so any
-    change to the profile, impairment, SNR sweep, burst size, seed, or
-    probe waveform forces a refit while identical reruns hit the store.
+    The tournament keys its memoised sweep cells on this, so any change
+    to the profile, channel point, probe waveform, message count or
+    seed forces a re-measure while identical reruns hit the store.
     """
     payload = json.dumps(
         {"profile": profile, **{k: repr(v) for k, v in sorted(channel.items())}},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-class CalibrationStore:
-    """Fitted-curve persistence keyed by :func:`calibration_digest`.
-
-    With a directory, curves survive across processes and runs as tiny
-    JSON files; without one, the store is a per-process memo.  Corrupt
-    or missing entries simply force a refit.
-    """
-
-    def __init__(self, directory: str | Path | None = None) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self._memo: dict[str, tuple[float, float]] = {}
-
-    def _path(self, digest: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"losscurve-{digest}.json"
-
-    def load(self, digest: str) -> FrameLossModel | None:
-        """Return the persisted model for ``digest``, or ``None``."""
-        params = self._memo.get(digest)
-        if params is None and self.directory is not None:
-            try:
-                raw = json.loads(self._path(digest).read_text())
-                params = (float(raw["fer_midpoint_db"]), float(raw["fer_scale_db"]))
-            except (OSError, ValueError, KeyError):
-                return None
-            self._memo[digest] = params
-        if params is None:
-            return None
-        return FrameLossModel(fer_midpoint_db=params[0], fer_scale_db=params[1])
-
-    def save(self, digest: str, model: FrameLossModel) -> None:
-        self._memo[digest] = (model.fer_midpoint_db, model.fer_scale_db)
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "fer_midpoint_db": model.fer_midpoint_db,
-                "fer_scale_db": model.fer_scale_db,
-            }
-            self._path(digest).write_text(json.dumps(payload, indent=2) + "\n")

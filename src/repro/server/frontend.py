@@ -6,7 +6,7 @@ into a request-serving *service*: the vectorised request generator's
 trace is cut into per-tick cohorts, a dispatcher coalesces identical
 page requests and batches dispatch into the store-backed resolvers
 (submitting renders up to :data:`LOOKAHEAD` cohorts ahead when the
-resolver has a render pool), a persistent sqlite ledger records every
+resolver renders pages), a persistent sqlite ledger records every
 request's life cycle, and backpressure is explicit when the carousel
 saturates.
 
@@ -221,17 +221,17 @@ class CatalogResolver:
     commit point: :meth:`resolve_submit` / :meth:`resolve_commit` wrap
     :meth:`CatalogPipeline.submit_catalog` jobs, and
     :meth:`prefetch_hour` pre-renders the next hour's epoch rollovers
-    while the current hour broadcasts.  Both overlap only with a
-    started pool (``pipeline.start()``); without one, a job renders at
-    commit time and prefetch is a no-op.
+    while the current hour broadcasts.  The resolver starts the
+    pipeline's pool with ``processes`` workers (None: one per core).
+    Both hooks overlap rendering only with more than one worker; one
+    worker renders each page at the commit that needs it.
     """
 
     def __init__(self, pipeline, processes: int | None = None) -> None:
         from repro.server.catalog import CatalogPipeline
 
         assert isinstance(pipeline, CatalogPipeline)
-        self.pipeline = pipeline
-        self.processes = processes
+        self.pipeline = pipeline.start(processes)
         self.urls = pipeline.generator.all_urls()
         self.store_hits = 0
         self.store_misses = 0
@@ -252,9 +252,7 @@ class CatalogResolver:
         self, url_indices: list[int], hour: int
     ) -> list[tuple[int, int, bool]]:
         result = self.pipeline.encode_catalog(
-            urls=[self.urls[i] for i in url_indices],
-            hour=hour,
-            processes=self.processes,
+            [self.urls[i] for i in url_indices], hour
         )
         self.store_hits += result.store_hits
         self.store_misses += result.encoded

@@ -1,4 +1,4 @@
-"""Sharded multi-station broadcast network with demand-driven scheduling.
+"""Multi-station broadcast network with demand-driven scheduling.
 
 SONIC's deployment story is a *national* FM data service: "the FM radio
 infrastructure consists of multiple transmitters (and frequencies) at
@@ -14,11 +14,11 @@ model into that network:
   :class:`~repro.server.ledger.RequestLedger`, kept in per-region dicts.
 * :func:`run_network` — an epoch-synchronous broadcast-day simulation.
   Stations evolve *independently within an epoch* (one hour) and the
-  scheduler rebalances only at epoch boundaries, so the sharded run —
-  stations stepped by a worker pool, or inline in any order — is
-  bit-identical to the serial run: same per-station ledger digests,
-  same schedule digests.  ``tests/test_server_network.py`` pins that
-  determinism contract, and the ``network_day`` workload of
+  scheduler rebalances only at epoch boundaries, so a run whose
+  stations are stepped by any number of worker processes is
+  bit-identical to the one-process run: same per-station ledger
+  digests, same schedule digests.  ``tests/test_server_network.py``
+  pins that determinism contract, and the ``network_day`` workload of
   ``python3 -m bench`` checks its seed-42 digest.
 
 Profile adaptation happens at carousel-cycle boundaries: when every
@@ -212,7 +212,7 @@ class _SimCore:
     frame payloads, so items pickle small), the profile selector, and
     the bookkeeping.  The sqlite ledger stays in the parent — workers
     return ledger-event *ops* the parent applies in canonical station
-    order, which is what makes sharded == serial bit-identical.
+    order, which is what makes every worker count bit-identical.
     """
 
     station_id: str
@@ -253,6 +253,7 @@ def _step_station_epoch(
     """
     ops: list[tuple] = []
     carousel = core.carousel
+    url_index = {url: u for u, url in enumerate(core.urls)}
 
     # One synthetic receiver report per epoch: the region's representative
     # listener measured the current profile at the epoch's SNR.  Loss
@@ -309,8 +310,9 @@ def _step_station_epoch(
         completed = carousel.drain(tick_s)
         done_ids: list[int] = []
         for url in completed:
-            u = core.urls.index(url) if url in core.urls else None
-            if u is not None and u in core.pending:
+            # Every page a station's carousel completes came from its urls.
+            u = url_index[url]
+            if u in core.pending:
                 done_ids.extend(core.pending.pop(u))
         if done_ids:
             ops.append(("broadcast", done_ids, t_end))
@@ -410,7 +412,7 @@ class NetworkResult:
     def network_digest(self) -> str:
         """One hash over every determinism-relevant artefact.
 
-        Serial and sharded runs of the same config must agree on this:
+        Runs of the same config on any worker count agree on this:
         per-station ledger digests (request life cycles), the schedule
         digests (what the demand scheduler decided each epoch).
         """
@@ -546,16 +548,13 @@ class BroadcastNetwork:
                 ledger.mark_broadcast(np.asarray(rids), t)
         ledger.commit()
 
-    def run(
-        self, sharded: bool = False, processes: int | None = None
-    ) -> NetworkResult:
-        """Simulate the broadcast horizon; serial or sharded.
+    def run(self, processes: int | None = 1) -> NetworkResult:
+        """Simulate the broadcast horizon over ``processes`` workers.
 
-        ``sharded=True`` steps each epoch's stations concurrently (a
-        process pool when ``processes`` allows, otherwise inline in
-        deliberately *reversed* station order — proving order cannot
-        matter).  Either way the result is bit-identical to the serial
-        run: cores are station-local, ledger ops are applied in
+        Each epoch's stations are stepped on a worker pool (``None``: one
+        worker per core, never more than stations; one worker steps them
+        in this process).  Every worker count gives a bit-identical
+        result: cores are station-local, ledger ops are applied in
         canonical station order, and the scheduler only ever runs in the
         parent at epoch boundaries.
         """
@@ -566,7 +565,7 @@ class BroadcastNetwork:
         cursors = {sid: 0 for sid in station_ids}
         schedule_digests: list[str] = []
 
-        processes = worker_count(processes, len(station_ids)) if sharded else 1
+        processes = worker_count(processes, len(station_ids))
         with WorkerPool(processes, _epoch_params, cfg) as pool:
             for epoch in range(cfg.hours):
                 sizes, versions = self._epoch_pages(epoch)
@@ -576,11 +575,11 @@ class BroadcastNetwork:
                 # Push the epoch's allocation through the *shared* store:
                 # the first station needing a (url, version) encodes it,
                 # every later one reuses the bytes.  Done in the parent,
-                # in canonical order, so sharding can't change accounting.
-                for sid in station_ids:
-                    core = cores[sid]
-                    core.snr_db = self._region(sid).snr_at(epoch)
-                    for u, score in allocations[sid]:
+                # in canonical order, so workers can't change accounting.
+                for region in self.regions:
+                    core = cores[region.name]
+                    core.snr_db = region.snr_at(epoch)
+                    for u, score in allocations[region.name]:
                         url = self.urls[u]
                         version = int(versions[u])
                         key = bundle_key(
@@ -619,14 +618,7 @@ class BroadcastNetwork:
                         )
                     )
 
-                if sharded and processes == 1:
-                    # Inline sharding steps the stations in reversed order:
-                    # a different execution order must (and does) produce
-                    # the same cores and ops.
-                    stepped = pool.map(_epoch_worker, payloads[::-1])[::-1]
-                else:
-                    stepped = pool.map(_epoch_worker, payloads)
-
+                stepped = pool.map(_epoch_worker, payloads)
                 for sid, (core, ops) in zip(station_ids, stepped):
                     cores[sid] = core
                     self._apply_ops(self.ledgers[sid], ops)
@@ -640,9 +632,6 @@ class BroadcastNetwork:
                     self.scheduler.observe(sid, counts)
 
         return self._collect(cores, schedule_digests)
-
-    def _region(self, sid: str) -> RegionSpec:
-        return next(r for r in self.regions if r.name == sid)
 
     def _collect(
         self, cores: dict[str, _SimCore], schedule_digests: list[str]
@@ -687,14 +676,13 @@ class BroadcastNetwork:
 
 
 def run_network(
-    config: NetworkConfig = NetworkConfig(),
-    sharded: bool = False,
-    processes: int | None = None,
+    config: NetworkConfig = NetworkConfig(), processes: int | None = 1
 ) -> NetworkResult:
-    """Build a :class:`BroadcastNetwork` and simulate the horizon."""
+    """Build a :class:`BroadcastNetwork` and simulate the horizon on
+    ``processes`` workers (``None``: one per core)."""
     network = BroadcastNetwork(config)
     try:
-        return network.run(sharded=sharded, processes=processes)
+        return network.run(processes)
     finally:
         network.close()
 

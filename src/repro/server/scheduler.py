@@ -340,8 +340,8 @@ class DemandScheduler:
 def schedule_digest(allocations: dict[str, list[tuple[int, float]]]) -> str:
     """Content hash of one rebalance result, station order included.
 
-    Serial and sharded network runs must produce identical digests —
-    the schedule half of the determinism contract.
+    Network runs on any number of worker processes must produce
+    identical digests — the schedule half of the determinism contract.
     """
     h = hashlib.sha256()
     for sid, pages in allocations.items():

@@ -311,16 +311,14 @@ class SonicServer:
         )
         return len(entries)
 
-    def catalog_pipeline(
-        self, persistent: bool = False, processes: int | None = None
-    ) -> CatalogPipeline:
+    def catalog_pipeline(self) -> CatalogPipeline:
         """The server's shared :class:`~repro.server.catalog.CatalogPipeline`.
 
         Built once (lazily) over this server's generator and bundle
         store, so every :meth:`page` lookup and ``push_catalog`` call —
-        and any persistent worker pool attached with ``persistent=True``
-        — is reused across hours instead of respawned per call.  Call
-        :meth:`close` when done if a pool was started.
+        and the worker pool ``push_catalog`` starts — is reused across
+        hours instead of respawned per call.  Call :meth:`close` when
+        done.
         """
         if self._catalog_pipeline is None:
             self._catalog_pipeline = CatalogPipeline(
@@ -335,8 +333,6 @@ class SonicServer:
                 store=self.bundle_store,
                 generator=self.generator,
             )
-        if persistent and not self._catalog_pipeline.persistent:
-            self._catalog_pipeline.start(processes)
         return self._catalog_pipeline
 
     def close(self) -> None:
@@ -350,7 +346,6 @@ class SonicServer:
         now: float,
         urls: list[str] | None = None,
         processes: int | None = None,
-        persistent: bool = False,
     ):
         """Encode the catalog through the pooled pipeline and broadcast it.
 
@@ -358,14 +353,14 @@ class SonicServer:
         shared :meth:`catalog_pipeline` backed by this server's
         :attr:`bundle_store` — so a warm store (a later hour, a rerun)
         skips re-encoding entirely — then queued on ``tx`` at their
-        popularity priority, followed by a catalog announcement.
-        ``persistent=True`` attaches (and keeps) the persistent worker
-        pool across calls.  Returns the
+        popularity priority, followed by a catalog announcement.  The
+        pipeline's pool is started with ``processes`` workers (None: one
+        per core) and kept until :meth:`close`.  Returns the
         :class:`~repro.server.catalog.CatalogResult`.
         """
         hour = int(now // 3600)
-        pipeline = self.catalog_pipeline(persistent=persistent, processes=processes)
-        result = pipeline.encode_catalog(urls=urls, hour=hour, processes=processes)
+        pipeline = self.catalog_pipeline().start(processes)
+        result = pipeline.encode_catalog(urls, hour)
         for page in result.pages:
             self.enqueue_broadcast(
                 tx,

@@ -13,10 +13,14 @@ receivers across a :class:`~repro.util.parallel.WorkerPool`:
   loss maps identical whether it runs serially or on the pool;
 * each worker (or, serially, this process) builds one
   :class:`~repro.modem.modem.Modem` and reuses it for every receiver it
-  simulates; and
+  simulates;
 * each receiver runs one path, a channel stream then a
   :class:`~repro.modem.streaming.StreamingReceiver`, whose loss maps do
-  not depend on ``FleetConfig.chunk_samples``.
+  not depend on ``FleetConfig.chunk_samples``; and
+* with ``FleetConfig.population`` set, the fleet is Tier 1 of a
+  two-tier run: every run fits the frame-loss curve to the fleet's
+  decode outcomes (milliseconds, beside seconds of Tier-1 DSP) and
+  drives a Tier-2 statistical population with it.
 
 The per-receiver loss maps feed the existing workload/user-study layers
 exactly like a single :meth:`Modem.receive` call would.
@@ -32,7 +36,7 @@ import numpy as np
 from repro.modem.modem import Modem
 from repro.modem.streaming import StreamingReceiver
 from repro.radio.channels import AcousticChannel
-from repro.radio.lossmodel import CalibrationStore, FrameLossModel, calibration_digest
+from repro.radio.lossmodel import FrameLossModel
 from repro.radio.streams import AcousticStream, AwgnStream
 from repro.sim.population import PopulationConfig, PopulationResult, run_population
 from repro.util.parallel import WorkerPool, worker_count
@@ -76,8 +80,6 @@ class FleetConfig:
     # population of population.n_receivers listeners.  The population
     # inherits this config's master_seed and profile.
     population: PopulationConfig | None = None
-    # Directory for persisted calibration curves (None = refit per run).
-    calibration_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_receivers < 1:
@@ -117,10 +119,9 @@ class FleetResult:
     reports: tuple[ReceiverReport, ...]
     processes: int
     elapsed_s: float
-    # Two-tier mode only: the fitted (or store-loaded) loss curve and
-    # the Tier-2 statistical population it drove.
+    # Two-tier mode only: the loss curve fitted to Tier 1 and the Tier-2
+    # statistical population it drove.
     calibration: FrameLossModel | None = None
-    calibration_cached: bool = False
     population: PopulationResult | None = None
 
     @property
@@ -226,24 +227,6 @@ def _run_modem_fleet(
     return reports, processes, time.perf_counter() - t0
 
 
-def _calibration_key(waveform: np.ndarray, config: FleetConfig) -> str:
-    import hashlib
-
-    wave_digest = hashlib.sha256(
-        np.ascontiguousarray(waveform, dtype=np.float64).tobytes()
-    ).hexdigest()[:16]
-    return calibration_digest(
-        config.profile,
-        impairment=config.impairment,
-        snr_db=config.snr_db,
-        snr_spread_db=config.snr_spread_db,
-        frames_per_burst=config.frames_per_burst,
-        n_receivers=config.n_receivers,
-        master_seed=config.master_seed,
-        waveform=wave_digest,
-    )
-
-
 def calibrate_loss_model(
     reports: tuple[ReceiverReport, ...], seed: int = 0
 ) -> FrameLossModel:
@@ -274,25 +257,17 @@ def run_fleet(
 
     With ``config.population`` set, this becomes the two-tier run: the
     full-modem receivers above are Tier 1, their decode outcomes fit
-    (or a persisted calibration provides) the frame-loss curve, and a
-    Tier-2 statistical population of ``population.n_receivers``
-    listeners runs through :func:`repro.sim.population.run_population`
-    — all under the same master seed, bit-identical for any process or
-    chunk partitioning.
+    the frame-loss curve, and a Tier-2 statistical population of
+    ``population.n_receivers`` listeners runs through
+    :func:`repro.sim.population.run_population` — all under the same
+    master seed, bit-identical for any process or chunk partitioning.
     """
     t0 = time.perf_counter()
     reports, used, _ = _run_modem_fleet(waveform, config, processes)
     if config.population is None:
         return FleetResult(reports, used, time.perf_counter() - t0)
 
-    store = CalibrationStore(config.calibration_dir)
-    digest = _calibration_key(waveform, config)
-    model = store.load(digest)
-    cached = model is not None
-    if model is None:
-        model = calibrate_loss_model(reports, seed=config.master_seed)
-        store.save(digest, model)
-
+    model = calibrate_loss_model(reports, seed=config.master_seed)
     pop_config = replace(
         config.population,
         master_seed=config.master_seed,
@@ -304,6 +279,5 @@ def run_fleet(
         used,
         time.perf_counter() - t0,
         calibration=model,
-        calibration_cached=cached,
         population=population,
     )

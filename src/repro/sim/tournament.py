@@ -11,9 +11,9 @@ real DSP chain.
 
 Cells are expensive (the FM cells run the whole multiplex/modulate/
 demodulate chain), so results are memoised in a :class:`SweepStore`
-keyed by a digest of the profile, channel parameters and probe waveform
-(the same shape as :class:`repro.radio.lossmodel.CalibrationStore`): a
-warm store answers a repeat sweep without touching the DSP.  Cell
+keyed by :func:`repro.radio.lossmodel.calibration_digest` of the
+profile, channel parameters and probe waveform: a warm store answers a
+repeat sweep without touching the DSP.  Cell
 evaluation fans out over a :class:`~repro.util.parallel.WorkerPool`
 with the probe waveforms in shared memory (as in the fleet), and every
 cell's randomness is keyed on ``(master_seed, profile, axis, cell
@@ -205,8 +205,7 @@ def _cell_digest(config: TournamentConfig, contender: Contender,
 class SweepStore:
     """Persisted tournament cells keyed by digest.
 
-    The same shape as :class:`repro.radio.lossmodel.CalibrationStore`:
-    tiny JSON files under a directory plus an in-process memo; corrupt
+    Tiny JSON files under a directory plus an in-process memo; corrupt
     or missing entries just force a re-measure.
     """
 

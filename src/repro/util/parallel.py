@@ -1,9 +1,10 @@
 """One worker pool for every parallel fan-out in the reproduction.
 
-The fleet, the tournament, the population tier, the sharded network and
-the catalog render pipeline all run the same shape of parallel work:
-build some expensive per-worker state once (a modem, a renderer, the
-run's constants), then run many small pure tasks against it.
+The fleet, the tournament, the population tier, the multi-station
+network and the catalog render pipeline all run the same shape of
+parallel work: build some expensive per-worker state once (a modem, a
+renderer, the run's constants), then run many small pure tasks against
+it.
 :class:`WorkerPool` is that shape, on top of
 :class:`concurrent.futures.ProcessPoolExecutor`:
 
@@ -13,8 +14,9 @@ run's constants), then run many small pure tasks against it.
   the workers through shared memory instead of being pickled per
   worker; the segments exist only while a multi-process pool is open;
 * with one process, the same ``init`` and tasks run in this process, so
-  serial and pooled runs share one code path.  A submitted task then
-  runs at its first ``result()``, so work nobody collects costs nothing;
+  a caller chooses only a worker count, and every count runs one code
+  path.  A submitted task then runs at its first ``result()``, so work
+  nobody collects costs nothing;
 * a worker that dies, or an ``init`` that raises, fails every pending
   task with :class:`~concurrent.futures.process.BrokenProcessPool`
   instead of stalling the run.

@@ -59,3 +59,26 @@ def quick_modem(quick_profile) -> Modem:
 @pytest.fixture(scope="session")
 def site_generator() -> SiteGenerator:
     return SiteGenerator(seed=42)
+
+
+@pytest.fixture(scope="session")
+def mixed_bundle_frames(photo_image) -> list:
+    """Frames of two real bundles with equal frame counts, alternated
+    under one ``(page_id, version)`` (page 60): they reassemble into a
+    blob with bundle magic whose image does not decode."""
+    from repro.imaging.codec import CodecError
+    from repro.transport.bundle import BundleTransport, PageBundle
+    from repro.web.clickmap import ClickMap
+
+    image = photo_image[:24, :40]
+    a, b = (
+        BundleTransport().chunk(
+            PageBundle("m.pk/", img, ClickMap()).to_bytes(), page_id=60, version=1
+        )
+        for img in (image, image[:, ::-1])
+    )
+    assert len(a) == len(b) > 1
+    mixed = [fa if i % 2 == 0 else fb for i, (fa, fb) in enumerate(zip(a, b))]
+    with pytest.raises(CodecError):
+        PageBundle.from_bytes(BundleTransport().reassemble(mixed))
+    return mixed

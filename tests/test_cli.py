@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import multiprocessing
 import re
 
 import numpy as np
@@ -173,10 +174,11 @@ class TestCli:
         report = tmp_path / "stations.json"
         assert main([
             "network", "--stations", "3", "--hours", "6", "--tick-s", "120",
-            "--seed", "42", "--sharded", "--processes", "1", "--verify",
+            "--seed", "42", "--processes", "2", "--verify",
             "--json", str(report),
         ]) == 0
-        assert "serial == sharded" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2 process(es) == 1 process(es) (digest match)" in out
         stations = json.loads(report.read_text())["stations"]
         assert len(stations) == 3
         assert all(s["ledger_digest"] for s in stations)
@@ -205,6 +207,25 @@ class TestCli:
         assert {row["profile"] for row in frontier} == {
             "sonic-ofdm", "fsk", "gmsk", "audioqr",
         }
+
+    def test_serve_catalog_resolver_closes_its_pool(self, capsys):
+        assert main([
+            "serve", "--resolver", "catalog", "--processes", "2",
+            "--hours", "0.25", "--requests", "200", "--pages", "8",
+            "--sites", "2", "--width", "240", "--max-height", "300",
+        ]) == 0
+        assert "render pool: prefetch" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []
+
+    def test_fleet_two_tier(self, capsys):
+        assert main([
+            "fleet", "--receivers", "3", "--frames", "8", "--processes", "1",
+            "--population", "2000", "--hours", "0.5",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(fitted from tier 1)" in out
+        assert re.search(r"^calibration: FER midpoint ", out, re.M)
+        assert re.search(r"^tier 2: [\d,]+ receiver-frames", out, re.M)
 
     def test_serve_serial_mode(self, capsys):
         assert main([

@@ -175,6 +175,15 @@ class TestSonicClient:
         assert client._assembler.pages_raw == 1
         assert client.reception_progress(7) == 0.0
 
+    def test_undecodable_bundle_is_counted_and_dropped(self, mixed_bundle_frames):
+        """Frames of two bundles with equal totals under one version
+        reassemble into a blob with bundle magic and a damaged image:
+        nothing is cached and the assembler counts it in ``pages_raw``."""
+        client = SonicClient(self._profiles()["a"])
+        assert client.on_frames(mixed_bundle_frames, 0.0) == []
+        assert len(client.cache) == 0
+        assert client._assembler.pages_raw == 1
+
     def test_conflicting_total_counts_as_lost(self, page_image):
         """A CRC-valid frame whose ``total`` disagrees with the frames
         held for its version counts as lost; the held frames stay."""

@@ -337,6 +337,14 @@ class TestStreamingPageAssembler:
         assert assembler.pages_raw == 1  # complete; raw bytes, not a bundle
         assert assembler.partial_pages == 0
 
+    def test_undecodable_bundle_counts_as_raw(self, mixed_bundle_frames):
+        """Frames of two bundles under one version complete a blob whose
+        image does not decode: it counts in ``pages_raw``, not raised."""
+        assembler = StreamingPageAssembler()
+        assert assembler.push(self._received(mixed_bundle_frames)) == []
+        assert assembler.pages_raw == 1
+        assert assembler.pages == [] and assembler.partial_pages == 0
+
     def test_push_records_pages_and_add_does_not(self, page_image):
         from repro.transport.bundle import PageBundle
         from repro.web.clickmap import ClickMap

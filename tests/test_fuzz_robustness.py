@@ -49,7 +49,7 @@ class TestCodecFuzz:
     @settings(max_examples=20, deadline=None)
     @given(junk=st.binary(min_size=0, max_size=200))
     def test_garbage_raises(self, junk):
-        with pytest.raises((CodecError, IndexError)):
+        with pytest.raises(CodecError):
             SWebpCodec().decode(junk)
 
 
@@ -89,7 +89,7 @@ class TestBundleFuzz:
     @settings(max_examples=20, deadline=None)
     @given(junk=st.binary(min_size=0, max_size=100))
     def test_garbage_bundle_raises(self, junk):
-        with pytest.raises((ValueError, CodecError, IndexError)):
+        with pytest.raises((ValueError, CodecError)):
             PageBundle.from_bytes(junk)
 
     @settings(max_examples=20, deadline=None)
@@ -121,7 +121,7 @@ class TestPageAssemblyFuzz:
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_client_caches_only_sent_pages(self, sent, data):
+    def test_client_caches_only_sent_pages(self, sent, mixed_bundle_frames, data):
         from repro.client.client import ClientProfile, SonicClient
         from repro.sim.geometry import Location
         from repro.transport.metadata import CatalogAnnouncement, CatalogEntryInfo
@@ -144,6 +144,7 @@ class TestPageAssemblyFuzz:
         stream += copies(announcement.to_frames())[0]
         blob = data.draw(st.binary(min_size=1, max_size=4 * PAYLOAD_SIZE))
         stream += copies(BundleTransport().chunk(blob, page_id=50))[0]
+        stream += copies(mixed_bundle_frames)[0]
         stream += [None] * data.draw(st.integers(0, 4))
         stream = data.draw(st.permutations(stream))
         # Frames with a conflicting total, each placed after the first

@@ -1,10 +1,9 @@
-"""Calibration fitting: recovery, monotonicity, persistence, convergence."""
+"""Calibration fitting: recovery, monotonicity, digests, convergence."""
 
 import numpy as np
 import pytest
 
 from repro.radio.lossmodel import (
-    CalibrationStore,
     FrameLossModel,
     calibration_digest,
     fit_logistic_fer,
@@ -70,31 +69,6 @@ class TestFit:
 
 
 class TestPersistence:
-    def test_round_trip_through_store(self, tmp_path):
-        model = FrameLossModel(fer_midpoint_db=2.71828, fer_scale_db=0.31415)
-        store = CalibrationStore(tmp_path)
-        digest = calibration_digest("sonic-ofdm", snr_db=4.0, seed=0)
-        store.save(digest, model)
-        # A fresh store instance must read back identical parameters.
-        loaded = CalibrationStore(tmp_path).load(digest)
-        assert loaded is not None
-        assert loaded.fer_midpoint_db == model.fer_midpoint_db
-        assert loaded.fer_scale_db == model.fer_scale_db
-
-    def test_miss_and_corrupt_entries_return_none(self, tmp_path):
-        store = CalibrationStore(tmp_path)
-        assert store.load("feedfacedeadbeef") is None
-        bad = tmp_path / "losscurve-0000000000000bad.json"
-        bad.write_text("{not json")
-        assert CalibrationStore(tmp_path).load("0000000000000bad") is None
-
-    def test_memory_only_store(self):
-        store = CalibrationStore(None)
-        model = FrameLossModel(fer_midpoint_db=1.0, fer_scale_db=0.5)
-        store.save("aa", model)
-        assert store.load("aa").fer_midpoint_db == 1.0
-        assert CalibrationStore(None).load("aa") is None
-
     def test_digest_sensitivity(self):
         a = calibration_digest("sonic-ofdm", snr_db=4.0)
         assert a == calibration_digest("sonic-ofdm", snr_db=4.0)

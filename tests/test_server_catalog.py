@@ -86,16 +86,17 @@ class TestCatalogPipeline:
         assert e1 != e0 and k1 != k0
 
     def test_serial_equals_pooled(self):
-        serial = CatalogPipeline(_SMALL).encode_catalog(hour=0, processes=1)
-        pooled = CatalogPipeline(_SMALL).encode_catalog(hour=0, processes=2)
+        serial = CatalogPipeline(_SMALL).encode_catalog(hour=0)
+        with CatalogPipeline(_SMALL).start(2) as pipeline:
+            pooled = pipeline.encode_catalog(hour=0)
         assert serial.n_pages == pooled.n_pages == 8
         assert [p.data for p in serial.pages] == [p.data for p in pooled.pages]
         assert serial.store_hits == 0 and pooled.store_hits == 0
 
     def test_warm_store_skips_encoding(self):
         pipeline = CatalogPipeline(_SMALL)
-        cold = pipeline.encode_catalog(hour=0, processes=1)
-        warm = pipeline.encode_catalog(hour=0, processes=1)
+        cold = pipeline.encode_catalog(hour=0)
+        warm = pipeline.encode_catalog(hour=0)
         assert cold.encoded == cold.n_pages
         assert warm.store_hits == warm.n_pages  # nothing re-encoded
         assert warm.encoded == 0
@@ -104,8 +105,8 @@ class TestCatalogPipeline:
 
     def test_unchanged_pages_reuse_across_hours(self):
         pipeline = CatalogPipeline(_SMALL)
-        pipeline.encode_catalog(hour=0, processes=1)
-        later = pipeline.encode_catalog(hour=1, processes=1)
+        pipeline.encode_catalog(hour=0)
+        later = pipeline.encode_catalog(hour=1)
         unchanged = sum(
             1
             for url in pipeline.generator.all_urls()

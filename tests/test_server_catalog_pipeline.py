@@ -1,9 +1,9 @@
-"""Persistent render pool, render-ahead resolve, and speculative prefetch.
+"""Render pool, render-ahead resolve, and speculative prefetch.
 
-Every serving mode — serial, per-call pool, persistent subprocess pool,
-persistent in-process worker, any batch size — must produce
-bit-identical bundles and ledgers.  These tests pin that contract end
-to end.
+Every worker count — one in-process worker, a subprocess pool, a
+one-worker pool replaced by a larger one — and any batch size must
+produce bit-identical bundles and ledgers.  These tests pin that
+contract end to end.
 """
 
 import multiprocessing
@@ -36,11 +36,7 @@ def _pipeline() -> CatalogPipeline:
 class TestPersistentPool:
     def test_all_pool_modes_byte_identical(self):
         serial = _pipeline()
-        serial.encode_catalog(hour=1, processes=1)
-
-        per_call = _pipeline()
-        per_call.encode_catalog(hour=1, processes=2)
-        assert not per_call.persistent  # the one-call pool is torn down
+        serial.encode_catalog(hour=1)
 
         with _pipeline().start(2) as subproc:
             subproc.encode_catalog(hour=1)
@@ -48,10 +44,18 @@ class TestPersistentPool:
         with _pipeline().start(1) as inline:
             inline.encode_catalog(hour=1)
 
+        # One in-process use opens a one-worker pool; start(2) replaces
+        # it, and a job submitted before still commits its deferred renders.
+        with _pipeline() as grown:
+            early = grown.submit_catalog(grown.generator.all_urls()[:2], hour=1)
+            grown.start(2).encode_catalog(hour=1)
+            assert grown._pool.processes == 2
+            assert early.result().encoded == 2
+
         expect = serial.store.content_digest()
-        assert per_call.store.content_digest() == expect
         assert subproc.store.content_digest() == expect
         assert inline.store.content_digest() == expect
+        assert grown.store.content_digest() == expect
 
     def test_start_resolves_single_worker_inline(self):
         pipeline = _pipeline().start(1)
@@ -59,14 +63,16 @@ class TestPersistentPool:
         assert job.result().encoded == 1
         # One worker renders in this process: no child was ever started.
         assert multiprocessing.active_children() == []
-        assert pipeline.persistent
         pipeline.close()
-        assert not pipeline.persistent
 
     def test_start_idempotent(self):
-        pipeline = _pipeline().start(1)
+        pipeline = _pipeline().start(2)
         pool = pipeline._pool
         assert pipeline.start(4)._pool is pool  # already started: no-op
+        pipeline.close()
+        # An open one-worker pool is replaced when more are asked for.
+        pipeline = _pipeline().start(1)
+        assert pipeline.start(2)._pool.processes == 2
         pipeline.close()
 
     def test_persistent_pool_reused_across_hours(self):
@@ -81,7 +87,7 @@ class TestPersistentPool:
 class TestCatalogJob:
     def test_submit_commit_matches_serial(self):
         serial = _pipeline()
-        expect = [p.data for p in serial.encode_catalog(hour=2, processes=1).pages]
+        expect = [p.data for p in serial.encode_catalog(hour=2).pages]
 
         with _pipeline().start(1) as pipeline:
             urls = pipeline.generator.all_urls()
@@ -113,7 +119,7 @@ class TestCatalogJob:
 class TestPrefetch:
     def test_prefetch_warms_store_without_changing_bytes(self):
         serial = _pipeline()
-        serial.encode_catalog(hour=3, processes=1)
+        serial.encode_catalog(hour=3)
 
         with _pipeline().start(1) as pipeline:
             urls = pipeline.generator.all_urls()
@@ -125,7 +131,7 @@ class TestPrefetch:
 
     def test_unharvested_prefetch_never_pollutes_store(self):
         serial = _pipeline()
-        serial.encode_catalog(hour=0, processes=1)
+        serial.encode_catalog(hour=0)
 
         with _pipeline().start(1) as pipeline:
             pipeline.encode_catalog(hour=0)
@@ -135,10 +141,6 @@ class TestPrefetch:
             pipeline.prefetch(pipeline.generator.all_urls(), hour=9)
             pipeline.drain_prefetch(block=False)
             assert pipeline.store.content_digest() == serial.store.content_digest()
-
-    def test_prefetch_requires_pool(self):
-        pipeline = _pipeline()
-        assert pipeline.prefetch(pipeline.generator.all_urls(), hour=1) == 0
 
 
 class TestContentDigest:
@@ -176,7 +178,7 @@ class TestContentDigest:
 
 
 class TestFrontendModeParity:
-    """Every batch size and pool mode reproduces the serial ledger."""
+    """Every batch size and worker count reproduces the serial ledger."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -203,18 +205,17 @@ class TestFrontendModeParity:
         frontend.ledger.close()
         return digest, pipeline.store
 
-    @pytest.mark.parametrize(
-        "pool", [None, 1, 2], ids=["no-pool", "inline", "subprocess"]
-    )
+    @pytest.mark.parametrize("pool", [1, 2], ids=["inline", "subprocess"])
     @pytest.mark.parametrize("max_batch", [1, 7, 8192])
     def test_all_modes_reproduce_serial_ledger(self, trace, serial, max_batch, pool):
         d_serial, s_serial = serial
         digest, store = self._run(trace, max_batch=max_batch, pool=pool)
         assert digest == d_serial
         # Prefetch may add bundles beyond what demand produced, but can
-        # never change one the serial run wrote.
+        # never change one the serial run wrote; one worker renders a
+        # prefetch only when a later job needs it.
         assert store.superset_of(s_serial)
-        if pool is None:
+        if pool == 1:
             assert store.content_digest() == s_serial.content_digest()
 
     def test_cohort_committed_after_epoch_rollover(self):
@@ -278,9 +279,11 @@ class TestServerPipelineReuse:
         assert len(pipeline.store) > 0
 
     def test_persistent_request_starts_pool_and_close_stops_it(self, server):
-        _, srv = server
-        pipeline = srv.catalog_pipeline(persistent=True, processes=1)
-        assert pipeline.persistent
+        registry, srv = server
+        pipeline = srv.catalog_pipeline()
+        srv.push_catalog(registry.get("lhr"), now=0.0, processes=2)
         assert srv.catalog_pipeline() is pipeline  # still the same object
+        assert pipeline._pool.processes == 2  # kept after the push
         srv.close()
-        assert not pipeline.persistent
+        assert pipeline._pool is None
+        assert multiprocessing.active_children() == []

@@ -1,9 +1,9 @@
-"""Sharded multi-station broadcast network: determinism, adaptation, demand.
+"""Multi-station broadcast network: determinism, adaptation, demand.
 
 The contract this file pins:
 
-* **Sharding is an execution detail** — serial, inline-reversed, and
-  process-pool runs of the same config produce bit-identical per-station
+* **The worker count is an execution detail** — one-process and
+  two-process runs of the same config produce bit-identical per-station
   ledgers and schedule digests, for randomized station counts.
 * **Profile adaptation is regional** — a degrading region's station
   walks down the rate ladder at carousel-cycle boundaries while a
@@ -72,22 +72,17 @@ class TestConfig:
 
 
 class TestDeterminism:
-    def test_serial_vs_inline_sharded_bit_identical(self):
+    def test_serial_vs_process_pool_bit_identical(self):
+        # Three stations on two workers: one worker steps two of them.
         config = NetworkConfig(n_stations=3, seed=11, **_FAST)
         serial = run_network(config)
-        sharded = run_network(config, sharded=True, processes=1)
-        assert serial.network_digest() == sharded.network_digest()
-        assert serial.schedule_digests == sharded.schedule_digests
-        for a, b in zip(serial.stations, sharded.stations):
+        pooled = run_network(config, processes=2)
+        assert serial.network_digest() == pooled.network_digest()
+        assert serial.schedule_digests == pooled.schedule_digests
+        for a, b in zip(serial.stations, pooled.stations):
             assert a.ledger_digest == b.ledger_digest
             assert a.profile_history == b.profile_history
             assert np.array_equal(a.backlog_mb, b.backlog_mb)
-
-    def test_serial_vs_process_pool_bit_identical(self):
-        config = NetworkConfig(n_stations=2, seed=5, **_FAST)
-        serial = run_network(config)
-        pooled = run_network(config, sharded=True, processes=2)
-        assert serial.network_digest() == pooled.network_digest()
 
     @settings(max_examples=5, deadline=None)
     @given(
@@ -100,8 +95,8 @@ class TestDeterminism:
             n_pages=20, tick_s=900.0, pages_per_station=5,
         )
         serial = run_network(config)
-        sharded = run_network(config, sharded=True, processes=1)
-        assert serial.network_digest() == sharded.network_digest()
+        pooled = run_network(config, processes=2)
+        assert serial.network_digest() == pooled.network_digest()
 
     def test_different_seeds_diverge(self):
         a = run_network(NetworkConfig(n_stations=2, seed=1, **_FAST))

@@ -175,7 +175,7 @@ class TestTwoTierFleet:
         )
 
     @pytest.fixture(scope="class")
-    def config(self, tmp_path_factory):
+    def config(self):
         return FleetConfig(
             n_receivers=6,
             master_seed=17,
@@ -184,7 +184,6 @@ class TestTwoTierFleet:
             snr_spread_db=10.0,
             frames_per_burst=8,
             population=PopulationConfig(n_receivers=5_000, hours=1.0),
-            calibration_dir=str(tmp_path_factory.mktemp("calibration")),
         )
 
     def test_two_tier_run(self, broadcast, config):
@@ -194,16 +193,18 @@ class TestTwoTierFleet:
         assert result.population.n_receivers == 5_000
         assert result.calibration is not None
         assert result.calibration.fer_scale_db > 0
-        assert not result.calibration_cached
 
-    def test_repeat_run_hits_calibration_store(self, broadcast, config):
+    def test_repeat_run_is_identical(self, broadcast, config):
         first = run_fleet(broadcast, config, processes=1)
         second = run_fleet(broadcast, config, processes=1)
-        assert second.calibration_cached
-        assert second.calibration.fer_midpoint_db == first.calibration.fer_midpoint_db
-        assert np.array_equal(
-            first.population.loss_rates, second.population.loss_rates
-        )
+        assert second.calibration == first.calibration
+        for name in (
+            "distances_m", "rssi_dbm", "loss_probs", "loss_rates",
+            "pages_decoded", "readability",
+        ):
+            assert np.array_equal(
+                getattr(first.population, name), getattr(second.population, name)
+            )
 
     def test_population_inherits_seed_and_profile(self, broadcast, config):
         result = run_fleet(broadcast, config, processes=1)
