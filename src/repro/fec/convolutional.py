@@ -72,8 +72,6 @@ class ConvolutionalCode:
                 for j, poly in enumerate(self.polys):
                     branch[ns, p_idx, j] = bin(window & poly).count("1") & 1
         self._branch_bits = branch
-        # Bipolar form (+1 for bit 0, -1 for bit 1) for soft metrics.
-        self._branch_bipolar = (1 - 2 * branch.astype(np.float64))
         # A rate-1/n branch metric takes at most 2^n distinct values per
         # bit time (one per output-bit pattern); decoding gathers them
         # from a small combo table instead of a per-branch matmul.
@@ -105,24 +103,14 @@ class ConvolutionalCode:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("expected a non-empty 1-D bit vector")
-        k = self.constraint
-        flushed = np.concatenate([bits, np.zeros(k - 1, dtype=np.uint8)])
-        outputs = []
-        for poly in self.polys:
-            taps = np.array(
-                [(poly >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8
-            )
-            conv = np.convolve(flushed, taps) % 2
-            outputs.append(conv[: flushed.size])
-        return np.stack(outputs, axis=1).reshape(-1).astype(np.uint8)
+        return self.encode_batch(bits[None, :])[0]
 
     def encode_batch(self, bits: np.ndarray) -> np.ndarray:
         """Encode a ``(n_frames, n_info_bits)`` stack of bit vectors at once.
 
-        Each row is flushed and encoded independently (identical output to
-        :meth:`encode` per row).  The binary convolution is computed as an
-        XOR of tap-shifted copies, so the cost per tap is one vectorised
-        pass over the whole stack.
+        Each row is flushed and encoded independently.  The binary
+        convolution is computed as an XOR of tap-shifted copies, so the
+        cost per tap is one vectorised pass over the whole stack.
         """
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[1] == 0:
@@ -156,54 +144,13 @@ class ConvolutionalCode:
         """Soft-decision Viterbi decode of one frame.
 
         ``soft_bits`` are bipolar amplitudes: positive values favour bit 0,
-        negative favour bit 1; magnitude expresses confidence.  Runs the
-        batched kernel on a single row; bit-identical to
-        :meth:`decode_soft_ref`.
+        negative favour bit 1; magnitude expresses confidence.  One row
+        of :meth:`decode_soft_batch`.
         """
         soft = np.asarray(soft_bits, dtype=np.float64)
         if soft.ndim != 1:
             raise ValueError(f"expected a 1-D soft bit vector, got {soft.shape}")
         return self.decode_soft_batch(soft[None, :], n_info_bits)[0]
-
-    def decode_soft_ref(self, soft_bits: np.ndarray, n_info_bits: int) -> np.ndarray:
-        """Golden scalar Viterbi reference (the seed implementation).
-
-        One add-compare-select pass per bit time over a ``(n_states,)``
-        metric vector; kept as the model the property tests pin the
-        batched kernel against.
-        """
-        soft = np.asarray(soft_bits, dtype=np.float64)
-        total = n_info_bits + self.constraint - 1
-        expected = total * self.n_out
-        if soft.size != expected:
-            raise ValueError(
-                f"expected {expected} coded bits for {n_info_bits} info bits, "
-                f"got {soft.size}"
-            )
-        symbols = soft.reshape(total, self.n_out)
-
-        s = self.n_states
-        metrics = np.full(s, -np.inf)
-        metrics[0] = 0.0  # encoder starts zero-filled
-        decisions = np.zeros((total, s), dtype=np.uint8)
-        preds = self._preds
-        bipolar = self._branch_bipolar  # (s, 2, n_out)
-
-        for t in range(total):
-            # Correlation branch metric: sum soft * expected_bipolar.
-            bm = bipolar @ symbols[t]  # (s, 2)
-            cand = metrics[preds] + bm  # (s, 2)
-            choice = np.argmax(cand, axis=1).astype(np.uint8)
-            metrics = cand[np.arange(s), choice]
-            decisions[t] = choice
-
-        # The flush bits force the encoder back to state 0.
-        state = 0
-        out = np.zeros(total, dtype=np.uint8)
-        for t in range(total - 1, -1, -1):
-            out[t] = self._input_bit[state]
-            state = int(preds[state, decisions[t, state]])
-        return out[:n_info_bits]
 
     #: frames decoded per kernel invocation (bounds the decision buffer)
     _FRAME_CHUNK = 128
@@ -217,8 +164,9 @@ class ConvolutionalCode:
         every frame in state 0, so frames cannot share one trellis pass),
         but the add-compare-select recursion at each bit time runs over
         all frames simultaneously — the Python-level loop count no longer
-        scales with the number of frames.  Identical output to
-        :meth:`decode_soft_ref` row by row.
+        scales with the number of frames.  The property tests pin it row
+        by row to the seed's per-timestep decoder,
+        ``tests/reference/fec.py::viterbi_decode_ref``.
 
         The kernel exploits the trellis structure instead of gathering:
         with ``ns = bit * 2^(K-2) + low`` the two predecessors of ``ns``

@@ -29,22 +29,13 @@ class BlockInterleaver:
         return self.rows * self.cols
 
     def interleave(self, values: np.ndarray) -> np.ndarray:
-        """Permute ``values`` (length must equal :attr:`size`)."""
-        values = np.asarray(values)
-        if values.size != self.size:
-            raise ValueError(
-                f"expected {self.size} elements, got {values.size}"
-            )
-        return values.reshape(self.rows, self.cols).T.reshape(-1)
+        """Permute ``values`` (length must equal :attr:`size`): one row of
+        :meth:`interleave_many`."""
+        return self.interleave_many(np.reshape(values, (1, -1)))[0]
 
     def deinterleave(self, values: np.ndarray) -> np.ndarray:
-        """Invert :meth:`interleave`."""
-        values = np.asarray(values)
-        if values.size != self.size:
-            raise ValueError(
-                f"expected {self.size} elements, got {values.size}"
-            )
-        return values.reshape(self.cols, self.rows).T.reshape(-1)
+        """Invert :meth:`interleave`: one row of :meth:`deinterleave_many`."""
+        return self.deinterleave_many(np.reshape(values, (1, -1)))[0]
 
     # -- batch entry points (one row per frame) -----------------------------
 

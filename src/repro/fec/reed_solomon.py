@@ -8,21 +8,17 @@ known (2*errors + erasures <= nsym).
 Decoding follows the classic chain — syndromes, Forney syndromes to fold
 in erasures, Berlekamp-Massey for the error locator, a Chien-style root
 search for positions, and the Forney algorithm for magnitudes.  The
-polynomial conventions (coefficient lists, highest degree first) follow
-the standard "Reed-Solomon codes for coders" formulation.
+polynomial conventions follow the standard "Reed-Solomon codes for
+coders" formulation.
 
-Two implementations coexist:
-
-* the **vectorised** path — :meth:`ReedSolomon.encode_blocks` /
-  :meth:`ReedSolomon.decode_blocks` run the LFSR parity recursion, the
-  syndrome computation, and the Chien search as numpy table gathers over a
-  whole ``(n_blocks, block_len)`` stack at once, which is what the batch
-  frame pipeline and the broadcast carousel feed; and
-* the **scalar reference** — :meth:`ReedSolomon.encode_ref` /
-  :meth:`ReedSolomon.decode_ref`, the original byte-at-a-time code, kept
-  as the golden model the property tests compare against.
-
-``encode``/``decode`` are thin wrappers over the vectorised path.
+:meth:`ReedSolomon.encode_blocks` / :meth:`ReedSolomon.decode_blocks` run
+the LFSR parity recursion, the syndrome computation, the errata chain and
+the Chien search as numpy table gathers over a whole
+``(n_blocks, block_len)`` stack at once, which is what the batch frame
+pipeline and the broadcast carousel feed.  ``encode``/``decode`` are
+one-row calls into them.  The property tests pin both to the seed's
+byte-at-a-time codec, ``tests/reference/fec.py::rs_encode_ref`` and
+``rs_decode_ref``.
 """
 
 from __future__ import annotations
@@ -62,20 +58,6 @@ class BlockDecodeReport:
         return bool(self.ok.all())
 
 
-def _poly_scale(p: list[int], x: int) -> list[int]:
-    return [GF.mul(c, x) for c in p]
-
-
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    size = max(len(p), len(q))
-    out = [0] * size
-    for i, c in enumerate(p):
-        out[i + size - len(p)] = c
-    for i, c in enumerate(q):
-        out[i + size - len(q)] ^= c
-    return out
-
-
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     out = [0] * (len(p) + len(q) - 1)
     for j, qc in enumerate(q):
@@ -85,13 +67,6 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
             if pc:
                 out[i + j] ^= GF.mul(pc, qc)
     return out
-
-
-def _poly_eval(p: list[int], x: int) -> int:
-    acc = p[0]
-    for coeff in p[1:]:
-        acc = GF.mul(acc, x) ^ coeff
-    return acc
 
 
 class ReedSolomon:
@@ -112,7 +87,6 @@ class ReedSolomon:
         gen = [1]
         for i in range(nsym):
             gen = _poly_mul(gen, [1, GF.exp(i)])
-        self._gen = gen
         # LFSR tap table: row j holds gen[j+1] * b for every byte b, so the
         # vectorised parity recursion is a single gather per data column.
         self._gen_taps = GF.mul_table[np.asarray(gen[1:], dtype=np.intp)]
@@ -158,24 +132,6 @@ class ReedSolomon:
             shifted[:, -1] = 0
             parity = shifted ^ taps[:, feedback].T
         return np.concatenate([data, parity], axis=1)
-
-    def encode_ref(self, data: bytes) -> bytes:
-        """Golden byte-at-a-time reference encoder (the seed implementation)."""
-        if len(data) == 0:
-            raise ValueError("cannot encode an empty message")
-        if len(data) > self.max_data_len:
-            raise ValueError(
-                f"message of {len(data)} bytes exceeds block capacity "
-                f"{self.max_data_len}"
-            )
-        gen = self._gen
-        msg = list(data) + [0] * self.nsym
-        for i in range(len(data)):
-            coeff = msg[i]
-            if coeff:
-                for j in range(1, len(gen)):
-                    msg[i + j] ^= GF.mul(gen[j], coeff)
-        return bytes(data) + bytes(msg[len(data) :])
 
     # -- decoding ------------------------------------------------------------
 
@@ -263,41 +219,6 @@ class ReedSolomon:
             work[:, : length - self.nsym], corrected, ok, tuple(errors)
         )
 
-    def decode_ref(
-        self, block: bytes, erase_pos: list[int] | None = None
-    ) -> DecodeReport:
-        """Golden scalar reference decoder (the seed implementation)."""
-        if len(block) <= self.nsym:
-            raise ValueError(
-                f"block of {len(block)} bytes is too short for {self.nsym} parity"
-            )
-        if len(block) > 255:
-            raise ValueError(f"block of {len(block)} bytes exceeds RS symbol span")
-        erase_pos = sorted(set(erase_pos or []))
-        if any(not 0 <= p < len(block) for p in erase_pos):
-            raise ValueError("erasure position out of range")
-        if len(erase_pos) > self.nsym:
-            raise RSDecodeError(
-                f"{len(erase_pos)} erasures exceed correction capacity {self.nsym}"
-            )
-
-        msg = list(block)
-        for pos in erase_pos:
-            msg[pos] = 0
-        synd = self._syndromes(msg)
-        if max(synd) == 0:
-            return DecodeReport(bytes(msg[: -self.nsym]), len(erase_pos))
-
-        fsynd = self._forney_syndromes(synd, erase_pos, len(msg))
-        err_loc = self._berlekamp_massey(fsynd, len(erase_pos))
-        err_pos = self._find_errors(err_loc[::-1], len(msg))
-        msg = self._correct_errata(msg, synd, erase_pos + err_pos)
-        if max(self._syndromes(msg)) > 0:
-            raise RSDecodeError("residual syndromes after correction")
-        return DecodeReport(
-            bytes(msg[: -self.nsym]), len(erase_pos) + len(err_pos)
-        )
-
     def check(self, block: bytes) -> bool:
         """Return True when the block's syndromes all vanish (no errata)."""
         if len(block) <= self.nsym or len(block) > 255:
@@ -332,15 +253,16 @@ class ReedSolomon:
     ) -> None:
         """Run the errata chain over every flagged block at once.
 
-        Mirrors :meth:`decode_ref` stage by stage — Forney-syndrome
-        fold, Berlekamp-Massey, Chien search, Forney magnitudes, residual
-        check — but each stage is numpy table gathers over the whole
-        batch.  Polynomials live in fixed-width lowest-degree-first
-        arrays with an explicit *formal length* per block (the scalar
-        path's list length, leading zeros included), which is what the
-        BM swap condition compares.  Blocks that fail a stage drop out of
-        the batch with the same error strings the scalar path raises;
-        the rest are corrected in ``work`` in place.
+        Mirrors the scalar chain of ``tests/reference/fec.py::rs_decode_ref``
+        stage by stage — Forney-syndrome fold, Berlekamp-Massey, Chien
+        search, Forney magnitudes, residual check — but each stage is
+        numpy table gathers over the whole batch.  Polynomials live in
+        fixed-width lowest-degree-first arrays with an explicit *formal
+        length* per block (the scalar path's list length, leading zeros
+        included), which is what the BM swap condition compares.  Blocks
+        that fail a stage drop out of the batch with the same error
+        strings the scalar path raises; the rest are corrected in
+        ``work`` in place.
         """
         table = GF.mul_table
         nsym = self.nsym
@@ -504,97 +426,3 @@ class ReedSolomon:
         good = ~bad
         work[idx[good]] = cand[good]
         corrected[idx[good]] = e_tot[good]
-
-    # -- scalar decoding internals ----------------------------------------------
-
-    def _syndromes(self, msg: list[int]) -> list[int]:
-        return [_poly_eval(msg, GF.exp(i)) for i in range(self.nsym)]
-
-    def _forney_syndromes(
-        self, synd: list[int], erase_pos: list[int], nmess: int
-    ) -> list[int]:
-        """Fold known erasure locations out of the syndromes so BM only has
-        to find the unknown error positions."""
-        fsynd = list(synd)
-        for pos in erase_pos:
-            x = GF.exp(nmess - 1 - pos)
-            for j in range(len(fsynd) - 1):
-                fsynd[j] = GF.mul(fsynd[j], x) ^ fsynd[j + 1]
-        return fsynd
-
-    def _berlekamp_massey(self, synd: list[int], erase_count: int) -> list[int]:
-        """Find the error locator polynomial (highest degree first)."""
-        err_loc = [1]
-        old_loc = [1]
-        for i in range(self.nsym - erase_count):
-            delta = synd[i]
-            for j in range(1, len(err_loc)):
-                delta ^= GF.mul(err_loc[-(j + 1)], synd[i - j])
-            old_loc = old_loc + [0]
-            if delta != 0:
-                if len(old_loc) > len(err_loc):
-                    new_loc = _poly_scale(old_loc, delta)
-                    old_loc = _poly_scale(err_loc, GF.inv(delta))
-                    err_loc = new_loc
-                err_loc = _poly_add(err_loc, _poly_scale(old_loc, delta))
-        while len(err_loc) > 1 and err_loc[0] == 0:
-            err_loc = err_loc[1:]
-        errs = len(err_loc) - 1
-        if errs * 2 + erase_count > self.nsym:
-            raise RSDecodeError(
-                f"{errs} errors + {erase_count} erasures exceed capacity {self.nsym}"
-            )
-        return err_loc
-
-    @staticmethod
-    def _find_errors(err_loc_rev: list[int], nmess: int) -> list[int]:
-        """Chien-style exhaustive root search over the message span.
-
-        ``err_loc_rev`` is the locator with *reversed* coefficients, so
-        its roots sit at alpha^(coef_pos) — exponents within the message
-        span — rather than at the inverses.
-        """
-        errs = len(err_loc_rev) - 1
-        err_pos = []
-        for i in range(nmess):
-            if _poly_eval(err_loc_rev, GF.exp(i)) == 0:
-                err_pos.append(nmess - 1 - i)
-        if len(err_pos) != errs:
-            raise RSDecodeError(
-                "could not locate all errors (beyond correction capacity)"
-            )
-        return err_pos
-
-    def _correct_errata(
-        self, msg: list[int], synd: list[int], err_pos: list[int]
-    ) -> list[int]:
-        """Forney algorithm: compute and subtract errata magnitudes."""
-        coef_pos = [len(msg) - 1 - p for p in err_pos]
-        err_loc = self._errata_locator(coef_pos)
-        # Error evaluator omega(x) = x*S(x)*Lambda(x) mod x^(e+1).  The
-        # extra x factor (a zero-padded syndrome list) is what makes the
-        # product form of the locator derivative below come out right.
-        padded_synd = [0] + synd
-        rem = _poly_mul(padded_synd[::-1], err_loc)
-        err_eval = rem[len(rem) - len(err_loc) :]
-
-        x_points = [GF.exp(-(255 - c)) for c in coef_pos]
-        out = list(msg)
-        for i, xi in enumerate(x_points):
-            xi_inv = GF.inv(xi)
-            loc_prime = 1
-            for j, xj in enumerate(x_points):
-                if j != i:
-                    loc_prime = GF.mul(loc_prime, 1 ^ GF.mul(xi_inv, xj))
-            if loc_prime == 0:
-                raise RSDecodeError("Forney denominator vanished")
-            y = GF.mul(xi, _poly_eval(err_eval, xi_inv))
-            out[err_pos[i]] ^= GF.div(y, loc_prime)
-        return out
-
-    @staticmethod
-    def _errata_locator(coef_pos: list[int]) -> list[int]:
-        loc = [1]
-        for pos in coef_pos:
-            loc = _poly_mul(loc, _poly_add([1], [GF.exp(pos), 0]))
-        return loc

@@ -10,10 +10,8 @@ canonical Huffman tables.  Both directions are vectorised: encoding
 lays out all tokens with cumulative offsets, and :meth:`SWebpCodec.decode`
 is a table-driven batch decoder that transcodes the bit stream through
 per-bit-position gather tables and reconstructs every block in single
-numpy/scipy calls.  The original sequential token walk is retained as
-:meth:`SWebpCodec.decode_ref` and the batch path is pinned bit-for-bit
-against it (the ``decode_soft_ref``/``decode_blocks`` pattern from the
-modem layer).
+numpy/scipy calls.  The tests pin the decoder bit for bit to the seed's
+sequential token walk, ``tests/reference/swebp.py::swebp_decode_ref``.
 """
 
 from __future__ import annotations
@@ -23,18 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from repro.imaging.color import (
-    downsample_420,
-    upsample_420,
-    ycbcr_planes,
-    ycbcr_to_rgb,
-)
-from repro.imaging.huffman import (
-    BitReader,
-    CanonicalHuffman,
-    build_code_lengths,
-    pack_fields,
-)
+from repro.imaging.color import downsample_420, ycbcr_planes
+from repro.imaging.huffman import CanonicalHuffman, build_code_lengths, pack_fields
 
 __all__ = ["SWebpCodec", "SWebpHeader", "CodecError"]
 
@@ -152,13 +140,6 @@ def _blockify(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
         plane.reshape(rows, 8, cols, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
     )
     return blocks, rows, cols
-
-
-def _unblockify(blocks: np.ndarray, rows: int, cols: int, h: int, w: int) -> np.ndarray:
-    plane = (
-        blocks.reshape(rows, cols, 8, 8).transpose(0, 2, 1, 3).reshape(rows * 8, cols * 8)
-    )
-    return plane[:h, :w]
 
 
 class SWebpCodec:
@@ -359,7 +340,8 @@ class SWebpCodec:
         DC prefix sum are then extracted in whole-array passes), duplicate
         coefficient blocks are collapsed before a single inverse-DCT call,
         and colour conversion runs per unique 16x16 macroblock.  Output is
-        bit-for-bit identical to :meth:`decode_ref`, errors included.
+        bit-for-bit identical to the sequential token walk
+        (``tests/reference/swebp.py::swebp_decode_ref``), errors included.
         """
         header = SWebpHeader.parse(data)
         h, w = header.height, header.width
@@ -398,92 +380,6 @@ class SWebpCodec:
         )
         upix, inv = _reconstruct_blocks(dc_vals, wb, wpos, ac_vals, n_blocks, qtable)
         return upix, inv.reshape(rows, cols), offset
-
-    # -- reference decoder ---------------------------------------------------
-
-    def decode_ref(self, data: bytes) -> np.ndarray:
-        """Reference scalar decoder: one Huffman codeword at a time.
-
-        Kept as the golden implementation the batch :meth:`decode` is
-        pinned against, exactly like ``decode_soft_ref`` in the modem.
-        """
-        header = SWebpHeader.parse(data)
-        h, w = header.height, header.width
-        qy = _scaled_table(_LUMA_QUANT, header.quality)
-        qc = _scaled_table(_CHROMA_QUANT, header.quality)
-        offset = _HEADER_LEN
-
-        if header.color:
-            ch, cw = -(-h // 2), -(-w // 2)
-            y, offset = self._decode_plane_ref(data, offset, h, w, qy)
-            cb, offset = self._decode_plane_ref(data, offset, ch, cw, qc)
-            cr, offset = self._decode_plane_ref(data, offset, ch, cw, qc)
-            ycc = np.stack(
-                [y, upsample_420(cb, h, w), upsample_420(cr, h, w)], axis=-1
-            )
-            return ycbcr_to_rgb(ycc)
-        y, offset = self._decode_plane_ref(data, offset, h, w, qy)
-        return np.clip(np.round(y), 0, 255).astype(np.uint8)
-
-    def _decode_plane_ref(
-        self, data: bytes, offset: int, h: int, w: int, qtable: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        dc_table, ac_table, payload, offset = _read_plane_header(data, offset)
-        reader = BitReader(payload)
-
-        dc_sym, dc_len = dc_table.peek_tables
-        ac_sym, ac_len = ac_table.peek_tables
-        rows, cols = -(-h // 8), -(-w // 8)
-        n_blocks = rows * cols
-        zz = np.zeros((n_blocks, 64), dtype=np.int64)
-        prev_dc = 0
-        try:
-            for b in range(n_blocks):
-                sym = int(dc_sym[reader.peek16()])
-                if not 0 <= sym <= 15:
-                    raise CodecError("invalid DC code")
-                reader.skip(int(dc_len[reader.peek16()]))
-                diff = self._read_signed(reader, sym)
-                prev_dc += diff
-                zz[b, 0] = prev_dc
-                pos = 1
-                while pos < 64:
-                    peek = reader.peek16()
-                    sym = int(ac_sym[peek])
-                    if sym < 0:
-                        raise CodecError("invalid AC code")
-                    reader.skip(int(ac_len[peek]))
-                    if sym == _EOB:
-                        break
-                    if sym == _ZRL:
-                        pos += 16
-                        if pos > 64:
-                            raise CodecError("AC run overflow")
-                        continue
-                    run, size = sym >> 4, sym & 0xF
-                    pos += run
-                    if pos >= 64:
-                        raise CodecError("AC run overflow")
-                    zz[b, pos] = self._read_signed(reader, size)
-                    pos += 1
-        except (EOFError, ValueError) as exc:
-            raise CodecError("bit stream exhausted mid-block") from exc
-
-        quant = np.zeros((n_blocks, 64), dtype=np.float64)
-        quant[:, _ZIGZAG] = zz
-        blocks = quant.reshape(-1, 8, 8) * qtable
-        pixels = sfft.idctn(blocks, axes=(1, 2), norm="ortho")
-        plane = _unblockify(pixels, rows, cols, h, w) + 128.0
-        return plane, offset
-
-    @staticmethod
-    def _read_signed(reader: BitReader, size: int) -> int:
-        if size == 0:
-            return 0
-        bits = reader.read(size)
-        if bits < (1 << (size - 1)):
-            return bits - (1 << size) + 1
-        return bits
 
 
 # -- batch decode internals --------------------------------------------------
@@ -686,7 +582,8 @@ def _assemble_color(
     dominant full-resolution cost) collapses to the distinct id-tuples.
     The arithmetic matches :func:`repro.imaging.color.ycbcr_to_rgb` and
     nearest-neighbour 4:2:0 upsampling term for term, which keeps the
-    result bit-identical to the reference path.
+    result bit-identical to the full-resolution conversion of
+    ``tests/reference/swebp.py::swebp_decode_ref``.
     """
     crows, ccols = invcb.shape
     # Pad the luma grid to the chroma grid's 2x coverage; padded slots

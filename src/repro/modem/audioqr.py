@@ -12,9 +12,8 @@ the design point SONIC rejects ("sacrifices transmission speed for high
 distance, while we target very low air distance").
 
 The receive path correlates every bit window against both chirp
-templates in one batched matrix product; the original per-bit scalar
-decoder survives as :meth:`receive_ref`, the golden reference the batch
-path is property-tested against.
+templates in one batched matrix product.  The tests pin it to the seed's
+per-bit scalar decoder, ``tests/reference/modems.py::audioqr_receive_ref``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.chirp import linear_chirp, matched_filter_peak
+from repro.dsp.chirp import linear_chirp
 from repro.fec.crc import crc16_ccitt
 from repro.modem.message import MessageStreamingReceiver, PreambleSync
 from repro.util.bits import bits_to_bytes, bytes_to_bits
@@ -130,65 +129,9 @@ class AudioQrModem:
         messages = rx.push(np.asarray(samples, dtype=np.float64))
         return messages + rx.finish()
 
-    # -- scalar golden reference ------------------------------------------
-
-    def receive_ref(self, samples: np.ndarray) -> list[bytes]:
-        """Original per-bit scalar correlation receiver (golden reference)."""
-        samples = np.asarray(samples, dtype=np.float64)
-        peaks = matched_filter_peak(
-            samples, self._marker, threshold=self.SYNC_THRESHOLD
-        )
-        messages: list[bytes] = []
-        for start, _score in peaks:
-            payload = self._decode_peak_ref(samples, start)
-            if payload is not None:
-                messages.append(payload)
-        return messages
-
-    def _decode_peak_ref(self, samples: np.ndarray, start: int) -> bytes | None:
-        """Scalar decode of the message at one marker peak (seed logic)."""
-        n_sym = self.config.symbol_samples
-        pos = start + self._marker.size
-        if pos + 8 * n_sym > samples.size:
-            return None
-        length_bits = self._read_bits(samples, pos, 8)
-        n = int(bits_to_bytes_safe(length_bits))
-        if n == 0:
-            return None
-        total_bits = (1 + n + 2) * 8
-        if pos + total_bits * n_sym > samples.size:
-            return None
-        bits = self._read_bits(samples, pos, total_bits)
-        stream = bits_to_bytes(bits)
-        payload = stream[1 : 1 + n]
-        stored = int.from_bytes(stream[1 + n : 1 + n + 2], "big")
-        if crc16_ccitt(payload) == stored:
-            return payload
-        return None
-
-    def _read_bits(self, samples: np.ndarray, pos: int, count: int) -> np.ndarray:
-        cfg = self.config
-        n_sym = cfg.symbol_samples
-        out = np.zeros(count, dtype=np.uint8)
-        for i in range(count):
-            window = samples[pos + i * n_sym : pos + (i + 1) * n_sym]
-            up = float(np.dot(window, self._up))
-            down = float(np.dot(window, self._down))
-            out[i] = 1 if abs(up) > abs(down) else 0
-        return out
-
     def transmission_seconds(self, payload_len: int) -> float:
         n_bits = (1 + payload_len + 2) * 8
         return (
             self._marker.size / self.config.sample_rate
             + n_bits * self.config.symbol_duration_s
         )
-
-
-def bits_to_bytes_safe(bits: np.ndarray) -> int:
-    """MSB-first integer value of a bit vector (typically length 8)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size == 0:
-        return 0
-    padded = np.concatenate([np.zeros((-bits.size) % 8, dtype=np.uint8), bits])
-    return int.from_bytes(np.packbits(padded).tobytes(), "big")

@@ -22,11 +22,9 @@ from repro.fec import (
     CONV_V27,
     CONV_V29,
     ConvolutionalCode,
-    RSDecodeError,
     ReedSolomon,
     crc32_ieee,
 )
-from repro.util.bits import bits_to_bytes, bytes_to_bits
 from repro.util.rng import derive_rng
 
 __all__ = ["FecConfig", "FrameCodec", "FrameDecodeError"]
@@ -120,43 +118,19 @@ class FrameCodec:
     # -- encode ------------------------------------------------------------
 
     def encode(self, payload: bytes) -> np.ndarray:
-        """Protect ``payload`` and return the coded bit vector."""
-        cfg = self.config
-        if len(payload) != cfg.payload_size:
-            raise ValueError(
-                f"payload must be exactly {cfg.payload_size} bytes, got {len(payload)}"
-            )
-        crc = crc32_ieee(payload)
-        body = payload + crc.to_bytes(4, "big")
-        body = body + bytes(self._padded_body - len(body))
-
-        if self._rs is not None:
-            blocks = [
-                self._rs.encode(body[i * self._block_data : (i + 1) * self._block_data])
-                for i in range(self._n_blocks)
-            ]
-            coded = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-            if self._interleaver is not None:
-                coded = self._interleaver.interleave(coded)
-            stream = coded.tobytes()
-        else:
-            stream = body
-
-        bits = bytes_to_bits(stream)
-        if self.config.scramble:
-            bits = bits ^ self._pn
-        if self._conv is not None:
-            bits = self._conv.encode(bits)
-        return bits
+        """Protect ``payload`` and return the coded bit vector: one row of
+        :meth:`encode_batch`."""
+        return self.encode_batch([payload])[0]
 
     def encode_batch(self, payloads: list[bytes] | np.ndarray) -> np.ndarray:
         """Protect many payloads at once: ``(n_frames, frame_bits)`` bits.
 
-        Bit-identical to calling :meth:`encode` per payload, but the RS
-        blocks of every frame are encoded in one :meth:`~repro.fec.\
+        Each frame is CRC-32, then RS blocks, then the byte interleaver,
+        then the scrambler, then the convolutional code.  The RS blocks of
+        every frame are encoded in one :meth:`~repro.fec.\
 ReedSolomon.encode_blocks` call, interleaving is one reshape, and the
         convolutional code runs one batched pass — so the Python-level
-        cost no longer scales with the frame count.
+        cost does not scale with the frame count.
         """
         cfg = self.config
         if isinstance(payloads, np.ndarray):
@@ -211,70 +185,20 @@ ReedSolomon.encode_blocks` call, interleaving is one reshape, and the
 
         ``soft_bits`` is the bipolar soft-decision stream from the
         demapper (positive favours bit 0).  Hard bits can be passed as
-        ``1.0 - 2.0 * bits``.
+        ``1.0 - 2.0 * bits``.  One row of :meth:`decode_batch`.
         """
-        soft = np.asarray(soft_bits, dtype=np.float64)
-        if soft.size < self._frame_bits:
-            raise ValueError(
-                f"expected {self._frame_bits} soft bits, got {soft.size}"
-            )
-        soft = soft[: self._frame_bits]
-
-        byte_confidence: np.ndarray | None = None
-        if self._conv is not None:
-            bits = self._conv.decode_soft(soft, self._info_bits)
-        else:
-            bits = (soft < 0).astype(np.uint8)
-            if self.config.rs_erasures and self._rs is not None:
-                # Confidence of a byte = its weakest bit's magnitude.
-                byte_confidence = np.abs(soft).reshape(-1, 8).min(axis=1)
-        if self.config.scramble:
-            bits = bits ^ self._pn
-        stream = np.frombuffer(bits_to_bytes(bits), dtype=np.uint8)
-
-        if self._rs is not None:
-            if self._interleaver is not None:
-                stream = self._interleaver.deinterleave(stream)
-                if byte_confidence is not None:
-                    byte_confidence = self._interleaver.deinterleave(byte_confidence)
-            raw = stream.tobytes()
-            coded_block = self._block_data + self.config.rs_nsym
-            parts = []
-            for i in range(self._n_blocks):
-                block = raw[i * coded_block : (i + 1) * coded_block]
-                erasures = None
-                if byte_confidence is not None:
-                    conf = byte_confidence[i * coded_block : (i + 1) * coded_block]
-                    # Flag up to nsym - 2 weakest bytes so a couple of
-                    # undetected hard errors remain correctable.
-                    budget = max(0, self.config.rs_nsym - 2)
-                    order = np.argsort(conf)[:budget]
-                    threshold = float(np.median(conf)) * 0.5
-                    erasures = [int(p) for p in order if conf[p] < threshold]
-                try:
-                    parts.append(self._rs.decode(block, erase_pos=erasures))
-                except RSDecodeError as exc:
-                    raise FrameDecodeError(f"RS block {i} unrecoverable") from exc
-            body = b"".join(parts)
-        else:
-            body = stream.tobytes()
-
-        payload = body[: self.config.payload_size]
-        stored = int.from_bytes(
-            body[self.config.payload_size : self.config.payload_size + 4], "big"
-        )
-        if crc32_ieee(payload) != stored:
-            raise FrameDecodeError("CRC-32 mismatch")
+        payload = self.decode_batch(np.ravel(soft_bits))[0]
+        if payload is None:
+            raise FrameDecodeError("RS block beyond capacity or CRC-32 mismatch")
         return payload
 
     def decode_batch(self, soft_bits: np.ndarray) -> list[bytes | None]:
         """Recover many frames from a ``(n_frames, frame_bits)`` soft stack.
 
-        Unrecoverable frames come back as ``None`` instead of raising, so
-        one bad frame does not cost the rest of the burst.  Decode
-        decisions are identical to :meth:`decode` per row: the batched
-        Viterbi, deinterleaver, and RS block decoder produce the same bits
-        as their scalar counterparts.
+        Unrecoverable frames (an RS block beyond capacity, or a CRC-32
+        mismatch) come back as ``None`` instead of raising, so one bad
+        frame does not cost the rest of the burst.  Rows are decoded
+        independently: a frame decodes the same in any batch.
         """
         soft = np.atleast_2d(np.asarray(soft_bits, dtype=np.float64))
         if soft.shape[1] < self._frame_bits:

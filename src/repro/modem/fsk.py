@@ -9,8 +9,8 @@ rate comparison in the RATES benchmark is measured rather than quoted.
 The receive path is batched: every symbol window in a message is scored
 against the whole tone bank in one strided-window matrix product, and
 symbol/byte packing runs through ``np.unpackbits``/``np.packbits``.  The
-original per-symbol scalar decoder survives as :meth:`receive_ref`, the
-golden reference the batch path is property-tested against.
+tests pin it to the seed's per-symbol scalar decoder,
+``tests/reference/modems.py::fsk_receive_ref``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.chirp import linear_chirp, matched_filter_peak
+from repro.dsp.chirp import linear_chirp
 from repro.fec.crc import crc16_ccitt
 from repro.modem.message import MessageStreamingReceiver, PreambleSync
 
@@ -92,16 +92,6 @@ class FskModem:
         groups = np.unpackbits(data).reshape(-1, bits_per)
         return (groups * weights).sum(axis=1).astype(np.int64)
 
-    def _symbols_for_ref(self, message: bytes) -> np.ndarray:
-        """Scalar per-byte/per-shift packing (golden reference)."""
-        bits_per = self.config.bits_per_symbol
-        data = np.frombuffer(message, dtype=np.uint8)
-        symbols = []
-        for byte in data:
-            for shift in range(8 - bits_per, -1, -bits_per):
-                symbols.append((int(byte) >> shift) & (self.config.num_tones - 1))
-        return np.array(symbols, dtype=np.int64)
-
     # -- transmit ----------------------------------------------------------
 
     def transmit(self, payload: bytes) -> np.ndarray:
@@ -158,68 +148,6 @@ class FskModem:
         rx = self.stream()
         messages = rx.push(np.asarray(samples, dtype=np.float64))
         return messages + rx.finish()
-
-    # -- scalar golden reference ------------------------------------------
-
-    def _detect_symbol(self, window: np.ndarray) -> int:
-        energies = self._tones @ window
-        return int(np.argmax(np.abs(energies)))
-
-    def receive_ref(self, samples: np.ndarray) -> list[bytes]:
-        """Original per-symbol scalar decoder (golden reference)."""
-        samples = np.asarray(samples, dtype=np.float64)
-        peaks = matched_filter_peak(
-            samples, self._preamble, threshold=self.SYNC_THRESHOLD
-        )
-        messages: list[bytes] = []
-        for start, _score in peaks:
-            payload = self._decode_peak_ref(samples, start)
-            if payload is not None:
-                messages.append(payload)
-        return messages
-
-    def _decode_peak_ref(self, samples: np.ndarray, start: int) -> bytes | None:
-        """Scalar decode of the message at one sync peak (seed logic)."""
-        cfg = self.config
-        sym_n = cfg.symbol_samples
-        per_byte = 8 // cfg.bits_per_symbol
-        pos = start + self._preamble.size
-        # Read the length byte first, then the rest.
-        if pos + per_byte * sym_n > samples.size:
-            return None
-        length = self._read_bytes(samples, pos, 1)
-        if length is None:
-            return None
-        n = length[0]
-        if n == 0:
-            return None
-        total = 1 + n + 2
-        body = self._read_bytes(samples, pos, total)
-        if body is None:
-            return None
-        payload = body[1 : 1 + n]
-        stored = int.from_bytes(body[1 + n : 1 + n + 2], "big")
-        if crc16_ccitt(payload) == stored:
-            return bytes(payload)
-        return None
-
-    def _read_bytes(self, samples: np.ndarray, pos: int, count: int) -> bytearray | None:
-        cfg = self.config
-        sym_n = cfg.symbol_samples
-        per_byte = 8 // cfg.bits_per_symbol
-        need = count * per_byte * sym_n
-        if pos + need > samples.size:
-            return None
-        out = bytearray()
-        cursor = pos
-        for _ in range(count):
-            value = 0
-            for _ in range(per_byte):
-                sym = self._detect_symbol(samples[cursor : cursor + sym_n])
-                value = (value << cfg.bits_per_symbol) | sym
-                cursor += sym_n
-            out.append(value)
-        return out
 
     def transmission_seconds(self, payload_len: int) -> float:
         """Airtime for a payload of the given length."""

@@ -17,9 +17,8 @@ each peak to the end of the capture), makes all four sub-symbol timing
 hypotheses with one vectorised gather-sum each, and locates the sync
 word with a sliding-window comparison.  A cheap header peek sizes the
 decode window from the recovered length field, so short frames never pay
-for the 4 KiB worst case.  The original scalar decoder survives as
-:meth:`receive_ref`, the golden reference the batch path is
-property-tested against.
+for the 4 KiB worst case.  The tests pin it to the seed's scalar decoder,
+``tests/reference/modems.py::gmsk_receive_ref``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from repro.dsp.chirp import linear_chirp, matched_filter_peak
+from repro.dsp.chirp import linear_chirp
 from repro.dsp.filters import fir_lowpass, filter_signal
 from repro.fec.crc import crc16_ccitt
 from repro.modem.message import MessageStreamingReceiver, PreambleSync
@@ -163,7 +162,7 @@ class GmskModem:
         return np.concatenate([[0.0], freq])
 
     def _decode_bits_batch(self, freq: np.ndarray, delay: int, sps: int) -> np.ndarray:
-        """Vectorised symbol integration (same sums as `_decode_bits`)."""
+        """Integrate frequency over each symbol: positive net phase = 1."""
         max_bits = (freq.size - delay) // sps
         if max_bits <= 0:
             return np.zeros(0, dtype=np.uint8)
@@ -265,78 +264,6 @@ class GmskModem:
         rx = self.stream()
         messages = rx.push(np.asarray(samples, dtype=np.float64))
         return messages + rx.finish()
-
-    # -- scalar golden reference ------------------------------------------
-
-    def receive_ref(self, samples: np.ndarray) -> list[bytes]:
-        """Original scalar decoder (golden reference).
-
-        Re-runs the discriminator from each peak to the end of the
-        capture and walks timing offsets and sync shifts in Python —
-        kept verbatim so the batch path stays pinned against it.
-        """
-        samples = np.asarray(samples, dtype=np.float64)
-        peaks = matched_filter_peak(
-            samples, self._preamble, threshold=self.SYNC_THRESHOLD
-        )
-        messages: list[bytes] = []
-        for start, _score in peaks:
-            payload = self._decode_peak_ref(samples, start)
-            if payload is not None:
-                messages.append(payload)
-        return messages
-
-    def _decode_peak_ref(self, samples: np.ndarray, start: int) -> bytes | None:
-        """Scalar decode of the message at one sync peak (seed logic)."""
-        sps = self.config.samples_per_symbol
-        begin = start + self._preamble.size
-        if begin + 8 * sps >= samples.size:
-            return None
-        freq = self._instantaneous_freq(samples[begin:])
-        # Group-delay of the pulse shaping centres decisions
-        # mid-symbol; sweep sub-symbol offsets for the best timing.
-        delay = (self._pulse.size - 1) // 2
-        for k in range(4):
-            bits = self._decode_bits(freq, delay + k * sps // 4, sps)
-            message = self._frame_from_bits(bits)
-            if message is not None:
-                return message
-        return None
-
-    def _decode_bits(self, freq: np.ndarray, delay: int, sps: int) -> np.ndarray:
-        max_bits = (freq.size - delay) // sps
-        if max_bits <= 0:
-            return np.zeros(0, dtype=np.uint8)
-        # Integrate frequency over each symbol: positive net phase = 1.
-        centers = delay + np.arange(max_bits) * sps
-        sums = np.zeros(max_bits)
-        for offset in range(sps):
-            idx = np.minimum(centers + offset, freq.size - 1)
-            sums += freq[idx]
-        return (sums > 0).astype(np.uint8)
-
-    def _frame_from_bits(self, bits: np.ndarray) -> bytes | None:
-        if bits.size < 48:
-            return None
-        # Bit-level sync search: chirp timing can be off by a few bits.
-        sync_bits = bytes_to_bits(self._SYNC_WORD.to_bytes(2, "big"))
-        limit = min(bits.size - 16, self._SHIFT_LIMIT)
-        for shift in range(limit + 1):
-            if not np.array_equal(bits[shift : shift + 16], sync_bits):
-                continue
-            frame = bits[shift + 16 :]
-            usable = frame[: (frame.size // 8) * 8]
-            if usable.size < 32:
-                continue
-            stream = bits_to_bytes(usable)
-            length = int.from_bytes(stream[0:2], "big")
-            if length == 0 or 2 + length + 2 > len(stream):
-                continue
-            payload = stream[2 : 2 + length]
-            stored = int.from_bytes(stream[2 + length : 2 + length + 2], "big")
-            if crc16_ccitt(payload) == stored:
-                return payload
-        return None
 
     def transmission_seconds(self, payload_len: int) -> float:
         """Airtime for a payload of the given length."""

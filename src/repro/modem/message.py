@@ -2,12 +2,15 @@
 
 The three baseline modems (FSK, GMSK, AudioQR) all frame a payload the
 same way: a chirp marker, then a self-describing body whose length is
-recovered from the first decoded bytes.  Historically each modem carried
-its own copy of the preamble correlation / peak-selection logic; this
-module hoists that into one :class:`PreambleSync` built on the
-overlap-save :class:`~repro.dsp.chirp.StreamingCorrelator` (cached
-template FFT) and one :class:`MessageStreamingReceiver` that any modem
-can use for both whole-capture and chunk-fed decoding.
+recovered from the first decoded bytes.  This module holds the one copy
+of the marker search: :class:`PreambleSync` names a modem's template and
+operating point, and :class:`MessageStreamingReceiver` runs it through
+the overlap-save :class:`~repro.dsp.chirp.StreamingCorrelator` (cached
+template FFT) and :class:`~repro.dsp.chirp.StreamingPeakDetector`, for
+both whole-capture and chunk-fed decoding.  Its peaks equal
+:func:`~repro.dsp.chirp.matched_filter_peak` with the same arguments,
+which is how the seed decoders in ``tests/reference/modems.py`` find
+their markers.
 
 A modem plugs in by exposing:
 
@@ -31,7 +34,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.dsp.chirp import StreamingCorrelator, StreamingPeakDetector, matched_filter_peak
+from repro.dsp.chirp import StreamingCorrelator, StreamingPeakDetector
 
 __all__ = ["PreambleSync", "MessageStreamingReceiver"]
 
@@ -51,12 +54,6 @@ class PreambleSync:
         self.threshold = float(threshold)
         self.min_separation = (
             int(min_separation) if min_separation is not None else self.template.size
-        )
-
-    def scan(self, samples: np.ndarray) -> list[tuple[int, float]]:
-        """Whole-capture peak scan; identical to :func:`matched_filter_peak`."""
-        return matched_filter_peak(
-            samples, self.template, self.threshold, self.min_separation
         )
 
     def correlator(self) -> StreamingCorrelator:

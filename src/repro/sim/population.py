@@ -257,7 +257,8 @@ def _simulate_chunk(
         z = counter_normals(plan.key_frames, idx)
         mean = frames_total * p_loss
         sd = np.sqrt(frames_total * p_loss * (1.0 - p_loss))
-        lost = np.clip(np.rint(mean + sd * z), 0.0, float(frames_total))
+        # rint/clip keep the sign of -0.0; adding +0.0 makes zero loss +0.0.
+        lost = np.clip(np.rint(mean + sd * z), 0.0, float(frames_total)) + 0.0
     loss_rates = lost / frames_total
 
     # 4. Page-level outcomes: P(decoded by end of horizon) per page,

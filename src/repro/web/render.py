@@ -75,11 +75,10 @@ class RenderResult:
 class _FlatCanvas:
     """Grow-down surface over one doubling buffer: O(1) row addressing.
 
-    Same drawing interface as the chunked reference :class:`_Canvas`,
-    but every primitive is a direct slice of a single array — no chunk
-    walk per blit, no final concatenate.  The buffer can be recycled
-    across renders (see :attr:`PageRenderer._buf`), so a warm renderer
-    never reallocates.
+    Every primitive is a direct slice of a single array.  The buffer is
+    recycled across renders (see :attr:`PageRenderer._buf`), so a warm
+    renderer never reallocates; ``extend`` paints each reserved row, so
+    no pixel of an earlier page survives into the next.
     """
 
     def __init__(self, width: int, buf: np.ndarray | None = None) -> None:
@@ -122,78 +121,6 @@ class _FlatCanvas:
         if h == 0:
             return np.full((1, self.width, 3), 255, dtype=np.uint8)
         return self._buf[:h].copy()
-
-
-class _Canvas:
-    """Grow-down drawing surface with rectangle/text primitives.
-
-    The seed chunk-list implementation, kept as the golden reference
-    (:meth:`PageRenderer.render_ref`) for the flat-buffer fast path.
-    """
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self._chunks: list[np.ndarray] = []
-        self.y = 0
-
-    def extend(self, height: int, color=_WHITE) -> int:
-        """Append ``height`` rows of ``color``; returns their start y."""
-        block = np.empty((height, self.width, 3), dtype=np.uint8)
-        block[:] = color
-        self._chunks.append(block)
-        start = self.y
-        self.y += height
-        return start
-
-    def _locate(self, y: int) -> tuple[np.ndarray, int]:
-        offset = 0
-        for chunk in self._chunks:
-            if y < offset + chunk.shape[0]:
-                return chunk, y - offset
-            offset += chunk.shape[0]
-        raise IndexError(f"row {y} beyond canvas height {self.y}")
-
-    def fill_rect(self, x: int, y: int, w: int, h: int, color) -> None:
-        remaining = h
-        row = y
-        while remaining > 0:
-            chunk, local = self._locate(row)
-            span = min(remaining, chunk.shape[0] - local)
-            chunk[local : local + span, x : x + w] = color
-            row += span
-            remaining -= span
-
-    def blit_mask(self, x: int, y: int, mask: np.ndarray, color) -> None:
-        remaining = mask.shape[0]
-        src = 0
-        row = y
-        while remaining > 0:
-            chunk, local = self._locate(row)
-            span = min(remaining, chunk.shape[0] - local)
-            w = min(mask.shape[1], self.width - x)
-            region = chunk[local : local + span, x : x + w]
-            region[mask[src : src + span, :w]] = color
-            row += span
-            src += span
-            remaining -= span
-
-    def paste(self, x: int, y: int, tile: np.ndarray) -> None:
-        remaining = tile.shape[0]
-        src = 0
-        row = y
-        while remaining > 0:
-            chunk, local = self._locate(row)
-            span = min(remaining, chunk.shape[0] - local)
-            w = min(tile.shape[1], self.width - x)
-            chunk[local : local + span, x : x + w] = tile[src : src + span, :w]
-            row += span
-            src += span
-            remaining -= span
-
-    def image(self) -> np.ndarray:
-        if not self._chunks:
-            return np.full((1, self.width, 3), 255, dtype=np.uint8)
-        return np.concatenate(self._chunks, axis=0)
 
 
 def _procedural_photo(width: int, height: int, seed: int) -> np.ndarray:
@@ -250,7 +177,6 @@ class PageRenderer:
         self._text_cache: dict[tuple[str, int], np.ndarray] = {}
         self._word_cache: dict[tuple[str, int], np.ndarray] = {}
         self._wrap_cache: dict[tuple[str, int], list[str]] = {}
-        self._ref = False  # render_ref(): bypass caches, seed primitives
 
     # -- text helpers ----------------------------------------------------------
 
@@ -278,8 +204,6 @@ class PageRenderer:
         return lines or [""]
 
     def _wrap_cached(self, text: str, scale: int) -> list[str]:
-        if self._ref:
-            return self._wrap(text, scale)
         key = (text, scale)
         lines = self._wrap_cache.get(key)
         if lines is None:
@@ -291,9 +215,7 @@ class PageRenderer:
         return lines
 
     def _text_raster(self, text: str, scale: int) -> np.ndarray:
-        """A (cached) rendered text mask; the ref path re-renders per call."""
-        if self._ref:
-            return font.render_text_ref(text, scale=scale)
+        """A (cached) rendered text mask."""
         key = (text, scale)
         cache = self._text_cache
         mask = cache.get(key)
@@ -334,7 +256,7 @@ class PageRenderer:
         return (font.GLYPH_HEIGHT * scale + _LINE_GAP) * len(lines) + _LINE_GAP
 
     def _draw_text_block(
-        self, canvas: _Canvas, text: str, scale: int, color, x: int | None = None
+        self, canvas: _FlatCanvas, text: str, scale: int, color, x: int | None = None
     ) -> tuple[int, int, int]:
         """Draw wrapped text; returns (y, height, max_line_width)."""
         lines = self._wrap_cached(text, scale)
@@ -349,7 +271,7 @@ class PageRenderer:
 
     # -- element renderers ----------------------------------------------------------
 
-    def _render_header(self, canvas: _Canvas, el: Header, clickmap: ClickMap) -> None:
+    def _render_header(self, canvas: _FlatCanvas, el: Header, clickmap: ClickMap) -> None:
         bar_h = 96
         y0 = canvas.extend(bar_h, el.color)
         title_mask = self._text_raster(el.title, 4)
@@ -365,25 +287,25 @@ class PageRenderer:
             clickmap.add(ClickRegion(x, nav_y, w, mask.shape[0], href))
             x += w + 28
 
-    def _render_heading(self, canvas: _Canvas, el: Heading, clickmap: ClickMap) -> None:
+    def _render_heading(self, canvas: _FlatCanvas, el: Heading, clickmap: ClickMap) -> None:
         scale = _HEADING_SCALE.get(el.level, 2)
         color = _LINK if el.href else _TEXT
         y0, h, w = self._draw_text_block(canvas, el.text, scale, color)
         if el.href:
             clickmap.add(ClickRegion(_MARGIN, y0, w, h - _LINE_GAP, el.href))
 
-    def _render_paragraph(self, canvas: _Canvas, el: Paragraph) -> None:
+    def _render_paragraph(self, canvas: _FlatCanvas, el: Paragraph) -> None:
         self._draw_text_block(canvas, el.text, _BODY_SCALE, _TEXT)
         canvas.extend(30)
 
-    def _render_image(self, canvas: _Canvas, el: ImageBlock) -> None:
+    def _render_image(self, canvas: _FlatCanvas, el: ImageBlock) -> None:
         w = min(el.width, self.width - 2 * _MARGIN)
         y0 = canvas.extend(el.height + 12)
         canvas.paste(_MARGIN, y0, _procedural_photo(w, el.height, el.seed))
         if el.caption:
             self._draw_text_block(canvas, el.caption, 1, (90, 90, 90))
 
-    def _render_thumbnail(self, canvas: _Canvas, el: Thumbnail) -> None:
+    def _render_thumbnail(self, canvas: _FlatCanvas, el: Thumbnail) -> None:
         w = min(el.width, self.width - 2 * _MARGIN)
         y0 = canvas.extend(el.height + 8)
         canvas.paste(_MARGIN, y0, _procedural_photo(w, el.height, el.seed))
@@ -399,13 +321,13 @@ class PageRenderer:
         canvas.blit_mask(bx, by, tri, _WHITE)
         self._draw_text_block(canvas, el.label, 1, (120, 120, 120))
 
-    def _render_linklist(self, canvas: _Canvas, el: LinkList, clickmap: ClickMap) -> None:
+    def _render_linklist(self, canvas: _FlatCanvas, el: LinkList, clickmap: ClickMap) -> None:
         for label, href in el.items:
             y0, h, w = self._draw_text_block(canvas, "- " + label, _BODY_SCALE, _LINK)
             clickmap.add(ClickRegion(_MARGIN, y0, w, h - _LINE_GAP, href))
         canvas.extend(8)
 
-    def _render_linkgrid(self, canvas: _Canvas, el: LinkGrid, clickmap: ClickMap) -> None:
+    def _render_linkgrid(self, canvas: _FlatCanvas, el: LinkGrid, clickmap: ClickMap) -> None:
         # Dense directory wall: small type, tight leading, full width.
         col_w = (self.width - 2 * _MARGIN) // el.columns
         row_h = font.GLYPH_HEIGHT * 2 + 4
@@ -421,7 +343,7 @@ class PageRenderer:
             canvas.blit_mask(x, y, mask, _LINK)
             clickmap.add(ClickRegion(x, y, mask.shape[1], mask.shape[0], href))
 
-    def _render_searchbox(self, canvas: _Canvas, el: SearchBox, clickmap: ClickMap) -> None:
+    def _render_searchbox(self, canvas: _FlatCanvas, el: SearchBox, clickmap: ClickMap) -> None:
         box_h = 44
         y0 = canvas.extend(box_h + 12)
         w = self.width - 2 * _MARGIN
@@ -432,7 +354,7 @@ class PageRenderer:
         canvas.blit_mask(_MARGIN + 12, y0 + 12, mask, (130, 130, 130))
         clickmap.add(ClickRegion(_MARGIN, y0, w, box_h, el.href))
 
-    def _render_ad(self, canvas: _Canvas, el: AdBanner, clickmap: ClickMap) -> None:
+    def _render_ad(self, canvas: _FlatCanvas, el: AdBanner, clickmap: ClickMap) -> None:
         banner_h = 90
         y0 = canvas.extend(banner_h + 10)
         w = self.width - 2 * _MARGIN
@@ -442,7 +364,7 @@ class PageRenderer:
         if el.href:
             clickmap.add(ClickRegion(_MARGIN, y0, w, banner_h, el.href))
 
-    def _render_footer(self, canvas: _Canvas, el: Footer, clickmap: ClickMap) -> None:
+    def _render_footer(self, canvas: _FlatCanvas, el: Footer, clickmap: ClickMap) -> None:
         foot_h = 80
         y0 = canvas.extend(foot_h, el.color)
         x = _MARGIN
@@ -461,8 +383,10 @@ class PageRenderer:
         """Rows ``el`` would add to the canvas, without rasterising.
 
         Must agree exactly with the corresponding ``_render_*`` method —
-        :meth:`render` uses it to price everything below the crop line,
-        and the render/render_ref parity tests pin the agreement.
+        :meth:`render` uses it to price everything below the crop line.
+        ``tests/test_web_render.py::TestRenderShortcuts`` pins the
+        agreement for every element type by cropping one page at many
+        lines.
         """
         if isinstance(el, Header):
             return 96
@@ -534,8 +458,8 @@ class PageRenderer:
         visible pixel (and its click regions all start below the crop,
         which the region filter would drop anyway).  The remainder is
         *measured* instead, keeping ``full_height`` exact — byte- and
-        region-identical to the full rasterisation in
-        :meth:`render_ref`, at a fraction of the cost for long pages.
+        region-identical to rasterising the whole page and cutting it at
+        the line, at a fraction of the cost for long pages.
         """
         canvas = _FlatCanvas(self.width, self._buf)
         clickmap = ClickMap()
@@ -557,30 +481,4 @@ class PageRenderer:
             )
         else:
             image = canvas.image()
-        return RenderResult(image, clickmap, full_height)
-
-    def render_ref(self, page: Page) -> RenderResult:
-        """The seed render path, kept as the golden reference.
-
-        Chunk-list canvas, per-character text rendering, no caches, and
-        the whole layout rasterised before cropping — the exact code the
-        repository started with, which :meth:`render` must reproduce
-        byte-for-byte.  Also the honest per-page cost baseline for the
-        ``serve_catalog`` bench.
-        """
-        canvas = _Canvas(self.width)
-        clickmap = ClickMap()
-        self._ref = True
-        try:
-            for el in page.elements:
-                self._render_element(canvas, el, clickmap)
-        finally:
-            self._ref = False
-        image = canvas.image()
-        full_height = image.shape[0]
-        if self.max_height is not None and full_height > self.max_height:
-            image = image[: self.max_height]
-            clickmap = ClickMap(
-                [r for r in clickmap if r.y + r.height <= self.max_height]
-            )
         return RenderResult(image, clickmap, full_height)

@@ -1,1 +1,15 @@
-"""Reference implementations that tests pin the product code against."""
+"""Reference implementations that tests pin the product code against.
+
+The product (``src/repro``) computes each operation one way.  Each
+module here keeps a second, plainer implementation of one of them — as a
+function that takes the product object — so property tests can compare
+the two on fresh inputs:
+
+* ``fec`` — the seed's scalar Reed-Solomon codec and Viterbi decoder,
+  and the ``np.convolve`` convolutional encoder;
+* ``swebp`` — the seed's sequential SWebp token walk;
+* ``modems`` — the seed's per-symbol FSK, GMSK and AudioQR receivers;
+* ``streaming_dsp`` — per-block ``fftconvolve`` FIR, correlator and FM
+  link;
+* ``acoustic`` — the whole-array acoustic channel.
+"""

@@ -1,11 +1,17 @@
 """Batch frame-pipeline equivalence and broadcast encode caching.
 
-Pins every batch entry point added by the perf PR to the per-frame path
-it replaced — convolutional encode/Viterbi, the block interleaver, the
-frame codec, and the modem burst — then exercises the transmitter-side
-LRU so a repeat broadcast of unchanged content provably performs no
-re-encode.
+Pins the batch entry points of the frame pipeline — convolutional
+encode/Viterbi, the block interleaver, the frame codec, and the modem
+burst.  The convolutional encoder is compared with the ``np.convolve``
+reference in ``tests/reference/fec.py``; the interleaver and the frame
+codec check that a batch equals its rows batched alone (the single-item
+calls are one-row batches), and golden digests pin the frame's bit
+layout (CRC-32, RS, interleave, scramble, convolutional code) for each
+configuration.  Then exercises the transmitter-side LRU so a repeat
+broadcast of unchanged content provably performs no re-encode.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.sim.geometry import Location
 from repro.sms.gateway import GatewayConfig, SmsGateway
 from repro.transport.bundle import BundleTransport
 from repro.web.sites import SiteGenerator
+from tests.reference.fec import conv_encode_ref
 
 _LAHORE = Location(31.5204, 74.3587)
 
@@ -36,7 +43,7 @@ class TestConvolutionalBatch:
         bits = rng.integers(0, 2, (6, 120), dtype=np.uint8)
         batch = code.encode_batch(bits)
         for i in range(6):
-            np.testing.assert_array_equal(batch[i], code.encode(bits[i]))
+            np.testing.assert_array_equal(batch[i], conv_encode_ref(code, bits[i]))
 
     @pytest.mark.parametrize("code", [CONV_V27, CONV_V29], ids=["v27", "v29"])
     def test_decode_soft_batch_matches_per_row(self, code):
@@ -80,19 +87,41 @@ _CONFIGS = [
     FecConfig(rs_nsym=0, conv="none", scramble=False),
 ]
 
+# sha256 (first 16 hex digits) of ``encode_batch`` over the five
+# ``_encode_payloads`` for each of ``_CONFIGS``, in order.  They pin the
+# frame's bit layout, which round trips cannot see.
+_ENCODE_DIGESTS = [
+    "edf4856399061a4f",
+    "d998b1562a7d3ab3",
+    "797f7ac024a4ac36",
+    "a2eb60062647b9d3",
+    "3a0086424c2d592d",
+]
+
+
+def _encode_payloads(config: FecConfig) -> list[bytes]:
+    rng = np.random.default_rng(9)
+    return [
+        rng.integers(0, 256, config.payload_size, dtype=np.uint8).tobytes()
+        for _ in range(5)
+    ]
+
 
 class TestFrameCodecBatch:
     @pytest.mark.parametrize("config", _CONFIGS)
     def test_encode_batch_matches_per_frame(self, config):
         codec = FrameCodec(config)
-        rng = np.random.default_rng(9)
-        payloads = [
-            rng.integers(0, 256, config.payload_size, dtype=np.uint8).tobytes()
-            for _ in range(5)
-        ]
+        payloads = _encode_payloads(config)
         batch = codec.encode_batch(payloads)
         for i, payload in enumerate(payloads):
             np.testing.assert_array_equal(batch[i], codec.encode(payload))
+
+    @pytest.mark.parametrize(
+        "config, digest", list(zip(_CONFIGS, _ENCODE_DIGESTS))
+    )
+    def test_encode_batch_golden_digest(self, config, digest):
+        bits = FrameCodec(config).encode_batch(_encode_payloads(config))
+        assert hashlib.sha256(bits.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("config", _CONFIGS)
     def test_decode_batch_matches_per_frame(self, config):

@@ -2,9 +2,10 @@
 
 ``decode_blocks`` now runs Berlekamp-Massey, the Chien search, and the
 Forney correction over the whole batch of syndrome-failing blocks at
-once.  These tests pin the batched chain to ``decode_ref`` block by
-block: corrected bytes, errata counts, success flags, and the *exact*
-failure strings for beyond-capacity inputs.
+once.  These tests pin the batched chain block by block to the seed's
+scalar decoder, ``tests/reference/fec.py::rs_decode_ref``: corrected
+bytes, errata counts, success flags, and the *exact* failure strings for
+beyond-capacity inputs.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fec.reed_solomon import ReedSolomon, RSDecodeError
+from tests.reference.fec import rs_decode_ref
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def _assert_matches_reference(rs, blocks, erase):
     for i in range(blocks.shape[0]):
         ep = erase[i] if erase is not None else None
         try:
-            ref = rs.decode_ref(blocks[i].tobytes(), ep)
+            ref = rs_decode_ref(rs, blocks[i].tobytes(), ep)
         except RSDecodeError as exc:
             assert not report.ok[i]
             assert report.errors[i] == str(exc)

@@ -1,9 +1,10 @@
 """Batched soft-decision Viterbi equivalence against the scalar reference.
 
-The seed's per-timestep decoder survives as ``decode_soft_ref``; these
-property tests pin ``decode_soft_batch`` (and the thin ``decode_soft``
-wrapper) to it bit-for-bit across random lengths and noise levels,
-including the regimes that exercise each internal path:
+The seed's per-timestep decoder lives in ``tests/reference/fec.py`` as
+``viterbi_decode_ref``; these property tests pin ``decode_soft_batch``
+(and ``decode_soft``, one row of it) to it bit-for-bit across random
+lengths and noise levels, including the regimes that exercise each
+internal path:
 
 * hard-decision-perfect inputs (the algebraic clean-codeword fast path),
 * inputs with exact-zero soft values (which must *bypass* the fast path),
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fec.convolutional import CONV_V27, CONV_V29
+from tests.reference.fec import viterbi_decode_ref
 
 CODES = {"v27": CONV_V27, "v29": CONV_V29}
 
@@ -37,7 +39,7 @@ class TestBatchMatchesReference:
         soft = soft + rng.normal(0.0, noise, soft.shape)
         batch = code.decode_soft_batch(soft, n_info)
         for i in range(n_frames):
-            assert (batch[i] == code.decode_soft_ref(soft[i], n_info)).all()
+            assert (batch[i] == viterbi_decode_ref(code, soft[i], n_info)).all()
 
     def test_clean_codewords_roundtrip(self, name):
         code = CODES[name]
@@ -57,7 +59,7 @@ class TestBatchMatchesReference:
             soft[i, rng.choice(soft.shape[1], 5, replace=False)] = 0.0
         batch = code.decode_soft_batch(soft, 64)
         for i in range(soft.shape[0]):
-            assert (batch[i] == code.decode_soft_ref(soft[i], 64)).all()
+            assert (batch[i] == viterbi_decode_ref(code, soft[i], 64)).all()
 
     def test_hard_ties_match_reference(self, name):
         """Quantised soft values force metric ties; both paths must break
@@ -71,7 +73,7 @@ class TestBatchMatchesReference:
         soft = np.where(flip, -soft, soft)  # hard errors, all-equal confidence
         batch = code.decode_soft_batch(soft, 48)
         for i in range(soft.shape[0]):
-            assert (batch[i] == code.decode_soft_ref(soft[i], 48)).all()
+            assert (batch[i] == viterbi_decode_ref(code, soft[i], 48)).all()
 
 
 class TestBatchMechanics:
@@ -95,7 +97,7 @@ class TestBatchMechanics:
         soft += rng.normal(0.0, 1.0, soft.shape)
         batch = code.decode_soft_batch(soft, 24)
         for i in range(0, n, 17):
-            assert (batch[i] == code.decode_soft_ref(soft[i], 24)).all()
+            assert (batch[i] == viterbi_decode_ref(code, soft[i], 24)).all()
 
     def test_shape_validation(self):
         code = CONV_V27

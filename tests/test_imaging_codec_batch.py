@@ -1,10 +1,11 @@
 """Batch SWebp decoder equivalence against the scalar reference.
 
-The seed's sequential token walk survives as ``decode_ref``; these tests
-pin the table-driven batch ``decode`` to it bit-for-bit across the
-quality scale, odd image geometries, degenerate token streams (all-EOB,
-maximum ZRL chains), and malformed input — where both paths must raise
-:class:`CodecError`, never a bare ``IndexError`` or silent corruption.
+The seed's sequential token walk lives in ``tests/reference/swebp.py`` as
+``swebp_decode_ref``; these tests pin the table-driven batch ``decode``
+to it bit-for-bit across the quality scale, odd image geometries,
+degenerate token streams (all-EOB, maximum ZRL chains), and malformed
+input — where both paths must raise :class:`CodecError`, never a bare
+``IndexError`` or silent corruption.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.imaging.codec import CodecError, SWebpCodec, SWebpHeader
 from repro.imaging.huffman import CanonicalHuffman, pack_fields
+from tests.reference.swebp import swebp_decode_ref
 
 
 def _test_image(shape, color, seed=0):
@@ -33,7 +35,7 @@ class TestBatchMatchesReference:
     def test_quality_sweep(self, quality, color):
         codec = SWebpCodec(quality)
         encoded = codec.encode(_test_image((24, 40), color, seed=quality))
-        assert np.array_equal(codec.decode(encoded), codec.decode_ref(encoded))
+        assert np.array_equal(codec.decode(encoded), swebp_decode_ref(encoded))
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (7, 9), (8, 8), (9, 17), (16, 16), (37, 53), (64, 48)]
@@ -44,7 +46,7 @@ class TestBatchMatchesReference:
         encoded = codec.encode(_test_image(shape, color, seed=sum(shape)))
         decoded = codec.decode(encoded)
         assert decoded.shape == ((*shape, 3) if color else shape)
-        assert np.array_equal(decoded, codec.decode_ref(encoded))
+        assert np.array_equal(decoded, swebp_decode_ref(encoded))
 
     @pytest.mark.parametrize("color", [False, True])
     def test_flat_image_all_eob(self, color):
@@ -54,7 +56,7 @@ class TestBatchMatchesReference:
         codec = SWebpCodec(10)
         encoded = codec.encode(image)
         decoded = codec.decode(encoded)
-        assert np.array_equal(decoded, codec.decode_ref(encoded))
+        assert np.array_equal(decoded, swebp_decode_ref(encoded))
         assert np.array_equal(decoded, image)  # DC-only blocks are exact
 
     def test_rendered_page(self, page_image):
@@ -62,13 +64,13 @@ class TestBatchMatchesReference:
             codec = SWebpCodec(quality)
             encoded = codec.encode(page_image)
             assert np.array_equal(
-                codec.decode(encoded), codec.decode_ref(encoded)
+                codec.decode(encoded), swebp_decode_ref(encoded)
             )
 
     def test_photo(self, photo_image):
         codec = SWebpCodec(50)
         encoded = codec.encode(photo_image)
-        assert np.array_equal(codec.decode(encoded), codec.decode_ref(encoded))
+        assert np.array_equal(codec.decode(encoded), swebp_decode_ref(encoded))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -84,7 +86,7 @@ class TestBatchMatchesReference:
         shape = (h, w, 3) if color else (h, w)
         image = rng.integers(0, 256, shape, dtype=np.uint8)
         encoded = codec.encode(image)
-        assert np.array_equal(codec.decode(encoded), codec.decode_ref(encoded))
+        assert np.array_equal(codec.decode(encoded), swebp_decode_ref(encoded))
 
 
 # -- hand-built streams -------------------------------------------------------
@@ -146,7 +148,7 @@ class TestHandBuiltStreams:
         fields = [(0, 1), zrl, zrl, zrl, _ac_code(ac, _COEF14), (1, 1)]
         stream = _gray_stream(dc, ac, fields)
         codec = SWebpCodec(50)
-        ref = codec.decode_ref(stream)
+        ref = swebp_decode_ref(stream)
         assert np.array_equal(codec.decode(stream), ref)
         assert ref.shape == (8, 8)
 
@@ -157,7 +159,7 @@ class TestHandBuiltStreams:
         stream = _gray_stream(dc, ac, [(0, 1), zrl, zrl, zrl, zrl])
         codec = SWebpCodec(50)
         with pytest.raises(CodecError):
-            codec.decode_ref(stream)
+            swebp_decode_ref(stream)
         with pytest.raises(CodecError):
             codec.decode(stream)
 
@@ -170,7 +172,7 @@ class TestHandBuiltStreams:
         )
         codec = SWebpCodec(50)
         with pytest.raises(CodecError):
-            codec.decode_ref(stream)
+            swebp_decode_ref(stream)
         with pytest.raises(CodecError):
             codec.decode(stream)
 
@@ -183,7 +185,7 @@ class TestHandBuiltStreams:
         stream = _gray_stream(dc, ac, [(0, 1), (3, 2)])
         codec = SWebpCodec(50)
         with pytest.raises(CodecError):
-            codec.decode_ref(stream)
+            swebp_decode_ref(stream)
         with pytest.raises(CodecError):
             codec.decode(stream)
 
@@ -195,7 +197,7 @@ class TestHandBuiltStreams:
         stream = _gray_stream(dc, ac, [(2, 2), _ac_code(ac, 0x00)])
         codec = SWebpCodec(50)
         with pytest.raises(CodecError):
-            codec.decode_ref(stream)
+            swebp_decode_ref(stream)
         with pytest.raises(CodecError):
             codec.decode(stream)
 
@@ -207,7 +209,7 @@ class TestHandBuiltStreams:
         stream = _gray_stream(dc, ac, [(1, 1)])
         codec = SWebpCodec(50)
         with pytest.raises(CodecError):
-            codec.decode_ref(stream)
+            swebp_decode_ref(stream)
         with pytest.raises(CodecError):
             codec.decode(stream)
 
@@ -219,7 +221,7 @@ class TestHandBuiltStreams:
         stream = _gray_stream(dc, ac, fields)[:-1]
         codec = SWebpCodec(50)
         with pytest.raises(CodecError):
-            codec.decode_ref(stream)
+            swebp_decode_ref(stream)
         with pytest.raises(CodecError):
             codec.decode(stream)
 
@@ -227,13 +229,13 @@ class TestHandBuiltStreams:
 class TestMalformedStreams:
     def test_bad_magic(self):
         codec = SWebpCodec(10)
-        for decode in (codec.decode, codec.decode_ref):
+        for decode in (codec.decode, swebp_decode_ref):
             with pytest.raises(CodecError):
                 decode(b"JUNKJUNKJUNK")
 
     def test_truncated_header(self):
         codec = SWebpCodec(10)
-        for decode in (codec.decode, codec.decode_ref):
+        for decode in (codec.decode, swebp_decode_ref):
             with pytest.raises(CodecError):
                 decode(b"SWBP\x01")
 
@@ -241,7 +243,7 @@ class TestMalformedStreams:
         codec = SWebpCodec(10)
         encoded = bytearray(codec.encode(_test_image((8, 8), False)))
         encoded[4] = 9
-        for decode in (codec.decode, codec.decode_ref):
+        for decode in (codec.decode, swebp_decode_ref):
             with pytest.raises(CodecError):
                 decode(bytes(encoded))
 
@@ -265,7 +267,7 @@ class TestMalformedStreams:
         for cut in range(11, len(encoded), step):
             chopped = encoded[:cut]
             try:
-                ref = codec.decode_ref(chopped)
+                ref = swebp_decode_ref(chopped)
                 ref_err = None
             except CodecError:
                 ref_err = CodecError

@@ -1,11 +1,12 @@
 """Batch modem-family decoders pinned against their scalar references.
 
-Each of the three baseline modems (FSK, GMSK, AudioQR) keeps its original
-per-symbol scalar decoder as ``receive_ref``; the vectorised batch path
-(``receive``) must produce bit-identical message lists on the same
-capture.  Equality is property-tested over fixed seeds — payload sizes,
-message counts and noise levels vary per case, but the RNG streams are
-pinned so the suite is deterministic (no FP-tie flakiness).
+The original per-symbol scalar decoder of each of the three baseline
+modems (FSK, GMSK, AudioQR) lives in ``tests/reference/modems.py``; the
+vectorised batch path (``receive``) must produce bit-identical message
+lists on the same capture.  Equality is property-tested over fixed seeds
+— payload sizes, message counts and noise levels vary per case, but the
+RNG streams are pinned so the suite is deterministic (no FP-tie
+flakiness).
 """
 
 import numpy as np
@@ -13,7 +14,14 @@ import pytest
 
 from repro.dsp.chirp import matched_filter_peak
 from repro.modem import AudioQrModem, FskModem, GmskModem
-from repro.modem.audioqr import bits_to_bytes_safe
+from tests.reference.modems import (
+    audioqr_receive_ref,
+    bits_to_bytes_safe,
+    fsk_receive_ref,
+    fsk_symbols_ref,
+    gmsk_decode_bits_ref,
+    gmsk_receive_ref,
+)
 
 
 def build_capture(modem, payloads, gap, noise, seed):
@@ -35,6 +43,12 @@ MODEMS = {
     "fsk": FskModem,
     "gmsk": GmskModem,
     "audioqr": AudioQrModem,
+}
+
+RECEIVE_REFS = {
+    "fsk": fsk_receive_ref,
+    "gmsk": gmsk_receive_ref,
+    "audioqr": audioqr_receive_ref,
 }
 
 # (seed, payload sizes, gap, noise) — pinned property cases per modem.
@@ -60,52 +74,39 @@ CASES = {
 @pytest.mark.parametrize("name", list(MODEMS))
 class TestBatchEqualsRef:
     def test_receive_matches_ref_and_recovers_payloads(self, name):
-        modem = MODEMS[name]()
+        modem, receive_ref = MODEMS[name](), RECEIVE_REFS[name]
         for seed, sizes, gap, noise in CASES[name]:
             payloads = random_payloads(seed, sizes)
             cap = build_capture(modem, payloads, gap, noise, seed + 100)
-            ref = modem.receive_ref(cap)
+            ref = receive_ref(modem, cap)
             batch = modem.receive(cap)
             assert batch == ref, f"{name} seed={seed}"
             if noise <= 0.02:  # clean-enough channels must recover all
                 assert batch == payloads, f"{name} seed={seed}"
 
     def test_corrupted_crc_rejected_identically(self, name):
-        modem = MODEMS[name]()
+        modem, receive_ref = MODEMS[name](), RECEIVE_REFS[name]
         payloads = random_payloads(11, [24])
         cap = build_capture(modem, payloads, 1500, 0.0, 12)
         # Flatten the middle of the message body: CRC fails, both paths
         # must drop the frame the same way.
         mid = cap.size // 2
         cap[mid : mid + 4000] = 0.0
-        assert modem.receive(cap) == modem.receive_ref(cap)
+        assert modem.receive(cap) == receive_ref(modem, cap)
 
     def test_truncated_capture_matches_ref(self, name):
         """End-of-capture mid-message: eos decode equals the ref path."""
-        modem = MODEMS[name]()
+        modem, receive_ref = MODEMS[name](), RECEIVE_REFS[name]
         payloads = random_payloads(13, [30])
         cap = build_capture(modem, payloads, 1500, 0.01, 14)
         for frac in (0.35, 0.6, 0.85):
             cut = cap[: int(cap.size * frac)]
-            assert modem.receive(cut) == modem.receive_ref(cut)
+            assert modem.receive(cut) == receive_ref(modem, cut)
 
     def test_empty_and_silence(self, name):
-        modem = MODEMS[name]()
+        modem, receive_ref = MODEMS[name](), RECEIVE_REFS[name]
         assert modem.receive(np.zeros(0)) == []
-        assert modem.receive(np.zeros(5000)) == modem.receive_ref(np.zeros(5000))
-
-
-class TestPreambleSyncPinning:
-    @pytest.mark.parametrize("name", list(MODEMS))
-    def test_scan_equals_matched_filter_peak(self, name):
-        modem = MODEMS[name]()
-        payloads = random_payloads(21, [18, 40])
-        cap = build_capture(modem, payloads, 1200, 0.03, 22)
-        expected = matched_filter_peak(
-            cap, modem.sync.template, modem.SYNC_THRESHOLD
-        )
-        assert modem.sync.scan(cap) == expected
-        assert len(expected) >= 2
+        assert modem.receive(np.zeros(5000)) == receive_ref(modem, np.zeros(5000))
 
 
 class TestFskVectorPacking:
@@ -115,7 +116,7 @@ class TestFskVectorPacking:
         for n in (1, 2, 7, 64, 258):
             msg = bytes(rng.integers(0, 256, n, dtype=np.uint8))
             np.testing.assert_array_equal(
-                modem._symbols_for(msg), modem._symbols_for_ref(msg)
+                modem._symbols_for(msg), fsk_symbols_ref(modem, msg)
             )
 
     def test_pack_symbols_inverts_symbols_for(self):
@@ -148,7 +149,7 @@ class TestGmskKernels:
             for delay in (0, 7, modem._delay, modem._delay + 3 * sps // 4):
                 np.testing.assert_array_equal(
                     modem._decode_bits_batch(freq, delay, sps),
-                    modem._decode_bits(freq, delay, sps),
+                    gmsk_decode_bits_ref(modem, freq, delay, sps),
                 )
 
     def test_sync_shifts_match_ref_scan(self):
@@ -176,7 +177,9 @@ class TestGmskKernels:
         modem = GmskModem()
         payloads = random_payloads(53, [48])
         cap = build_capture(modem, payloads, 2000, 0.01, 54)
-        (start, _score), *_ = modem.sync.scan(cap)
+        (start, _score), *_ = matched_filter_peak(
+            cap, modem.sync.template, modem.sync.threshold
+        )
         body = cap[start + modem.sync.template.size :]
         status, value = modem.decode_attempt(body[: modem._hdr_need], eos=False)
         assert status == "need"

@@ -116,6 +116,14 @@ class TestPhysics:
         )
         assert partial.sum() > 100
 
+    def test_zero_loss_is_positive_zero(self, model):
+        """The normal approximation never reports a loss rate of -0.0."""
+        result = run_population(
+            model, PopulationConfig(n_receivers=500, hours=1.0), processes=1
+        )
+        assert (result.loss_rates == 0.0).any()
+        assert not np.signbit(result.loss_rates).any()
+
     def test_positions_fill_the_disc(self, reference):
         geo = reference.config.geometry
         assert reference.distances_m.max() <= geo.radius_km * 1000.0 * 1.01

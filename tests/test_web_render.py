@@ -18,7 +18,9 @@ from repro.web.dom import (
     SearchBox,
     Thumbnail,
 )
+from repro.web import font
 from repro.web.render import PageRenderer
+from repro.web.sites import SiteGenerator
 
 
 def _page(elements) -> Page:
@@ -145,3 +147,78 @@ class TestScaling:
         a = PageRenderer(width=480).render(page).image
         b = PageRenderer(width=480).render(page).image
         assert np.array_equal(a, b)
+
+
+def _every_element_twice() -> Page:
+    """A page holding each element type twice, in two variants."""
+    return _page(
+        [
+            Header("SITE", (("Nav", "test.pk/nav"), ("Sports", "test.pk/s"))),
+            Heading("Headline story of the day", 1, href="test.pk/story"),
+            Paragraph("Some body text for the page, long enough to wrap. " * 3),
+            ImageBlock(200, 80, seed=1, caption="photo caption"),
+            Thumbnail(200, 80, seed=2),
+            LinkList((("More", "test.pk/more"), ("Older news", "test.pk/old"))),
+            LinkGrid(tuple((f"Dir {i}", f"test.pk/d{i}") for i in range(7))),
+            SearchBox(),
+            AdBanner("BUY NOW", href="test.pk/ad"),
+            Divider(),
+            Footer((("About", "test.pk/about"), ("Contact", "test.pk/c"))),
+            Header("OTHER", (), color=(120, 20, 40)),
+            Heading("Plain subheading", 3),
+            Paragraph("Short."),
+            ImageBlock(420, 60, seed=5),
+            Thumbnail(120, 50, seed=6, label="clip"),
+            LinkList((("Only link", "test.pk/only"),)),
+            LinkGrid(tuple((f"Long label {i}", f"test.pk/g{i}") for i in range(5)), 2),
+            SearchBox("Find a page", "test.pk/find"),
+            AdBanner("NO LINK AD"),
+            Divider(padding=8),
+            Footer(),
+        ]
+    )
+
+
+class TestRenderShortcuts:
+    """Pin :meth:`PageRenderer.render`'s shortcuts: measuring instead of
+    rasterising below the crop line, the recycled canvas buffer, and the
+    text, word and wrap caches."""
+
+    @pytest.mark.parametrize("width", [240, 500])
+    def test_crop_equals_uncropped_cut_at_the_line(self, width):
+        page = _every_element_twice()
+        full = PageRenderer(width=width, max_height=None).render(page)
+        height = full.image.shape[0]
+        assert full.full_height == height
+        # One renderer draws another page first and then crops at rising
+        # lines, so every render reuses a buffer that holds other pixels.
+        renderer = PageRenderer(width=width, max_height=None)
+        renderer.render(_page([AdBanner("STALE PIXELS") for _ in range(30)]))
+        for line in range(1, height, 53):
+            renderer.max_height = line
+            res = renderer.render(page)
+            assert res.full_height == height, line
+            assert np.array_equal(res.image, full.image[:line]), line
+            expected = [r for r in full.clickmap if r.y + r.height <= line]
+            assert list(res.clickmap) == expected, line
+
+    def test_warm_renderer_equals_fresh(self):
+        gen = SiteGenerator(seed=42, n_sites=3)
+        warm = PageRenderer(width=360, max_height=600)
+        for url in gen.all_urls():
+            page = gen.page(url)
+            got = warm.render(page)
+            want = PageRenderer(width=360, max_height=600).render(page)
+            assert np.array_equal(got.image, want.image), url
+            assert got.full_height == want.full_height, url
+            assert list(got.clickmap) == list(want.clickmap), url
+
+    @pytest.mark.parametrize("scale", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "text", ["three word line", "double  space", "single", "a b"]
+    )
+    def test_word_assembly_equals_whole_line(self, text, scale):
+        renderer = PageRenderer(width=400)
+        assert np.array_equal(
+            renderer._assemble_text(text, scale), font.render_text(text, scale=scale)
+        )
