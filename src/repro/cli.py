@@ -48,14 +48,14 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.web.sites import SiteGenerator
+    from repro.web.sites import INTERNAL_PAGES_PER_SITE, SiteGenerator
 
     generator = SiteGenerator(seed=args.seed, n_sites=args.sites)
     print(f"{'rank':>4} {'category':12} domain")
     for site in generator.websites():
         print(f"{site.rank:>4} {site.category:12} {site.domain}")
     print(f"\n{len(generator.all_urls())} pages "
-          f"({args.sites} landing + {args.sites * 3} internal)")
+          f"({args.sites} landing + {args.sites * INTERNAL_PAGES_PER_SITE} internal)")
     return 0
 
 

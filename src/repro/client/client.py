@@ -69,10 +69,9 @@ class SonicClient:
         profile: ClientProfile,
         gateway: SmsGateway | None = None,
         server_number: str | None = None,
-        cache_capacity: int = 50,
     ) -> None:
         self.profile = profile
-        self.cache = ClientCache(capacity=cache_capacity)
+        self.cache = ClientCache()
         self.browser = Browser(self.cache, scale_factor=profile.scale_factor)
         self._gateway = gateway
         self._server_number = server_number

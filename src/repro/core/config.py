@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.transport.framing import FRAME_SIZE
+
 __all__ = ["SystemConfig"]
 
 
@@ -20,12 +22,11 @@ class SystemConfig:
     n_sites: int = 4
     render_width: int = 360
     max_pixel_height: int | None = 2_000
-    quality: int = 10
     broadcast_rate_bps: float = 10_000.0
     sms_number: str = "+92300766421"
     auto_hourly_push: bool = True
 
     @property
     def frames_per_second(self) -> float:
-        """100-byte frames emitted per second at the broadcast rate."""
-        return self.broadcast_rate_bps / 800.0
+        """Frames emitted per second at the broadcast rate."""
+        return self.broadcast_rate_bps / (8 * FRAME_SIZE)

@@ -65,7 +65,6 @@ class SonicSystem:
                 sms_number=config.sms_number,
                 render_width=config.render_width,
                 max_pixel_height=config.max_pixel_height,
-                quality=config.quality,
             ),
         )
         self.loss_model = FrameLossModel(seed=config.seed)

@@ -183,17 +183,13 @@ class StreamingPeakDetector:
 
 
 def matched_filter_peak(
-    x: np.ndarray,
-    template: np.ndarray,
-    threshold: float = 0.5,
-    min_separation: int | None = None,
+    x: np.ndarray, template: np.ndarray, threshold: float = 0.5
 ) -> list[tuple[int, float]]:
     """Locate occurrences of ``template`` in ``x`` by normalised correlation.
 
     Returns a list of ``(start_index, score)`` pairs with ``score`` in
     [0, 1], strongest non-overlapping peaks first filtered to those above
-    ``threshold`` and separated by at least ``min_separation`` samples
-    (default: the template length).
+    ``threshold`` and separated by at least the template length.
 
     The correlation is normalised by the local signal energy, so the
     detector's operating point does not depend on receive gain.  This is
@@ -205,10 +201,8 @@ def matched_filter_peak(
     template = np.asarray(template, dtype=np.float64)
     if template.size == 0 or x.size < template.size:
         return []
-    if min_separation is None:
-        min_separation = template.size
     correlator = StreamingCorrelator(template)
-    detector = StreamingPeakDetector(threshold, min_separation)
+    detector = StreamingPeakDetector(threshold, template.size)
     peaks = detector.push(*correlator.push(x))
     peaks += detector.push(*correlator.flush())
     peaks += detector.finish()

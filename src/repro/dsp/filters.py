@@ -49,17 +49,15 @@ def fir_bandpass(
     return signal.firwin(num_taps, [low_hz, high_hz], fs=sample_rate, pass_zero=False)
 
 
-def filter_signal(taps: np.ndarray, x: np.ndarray, compensate_delay: bool = True) -> np.ndarray:
-    """Apply an FIR filter, optionally removing its group delay.
+def filter_signal(taps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply an FIR filter and remove its group delay.
 
-    With ``compensate_delay`` the output is time-aligned with the input
-    and has the same length, which keeps sample indices meaningful across
-    the whole transmit/receive chain.
+    The output is time-aligned with the input and has the same length,
+    which keeps sample indices meaningful across the whole
+    transmit/receive chain.
     """
     taps = np.asarray(taps, dtype=np.float64)
     y = signal.fftconvolve(x, taps, mode="full")
-    if not compensate_delay:
-        return y[: x.size]
     delay = (taps.size - 1) // 2
     return y[delay : delay + x.size]
 

@@ -145,9 +145,13 @@ def _blockify(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
 class SWebpCodec:
     """Encoder/decoder at a fixed quality setting.
 
+    >>> import numpy as np
+    >>> image = np.full((16, 24, 3), 128, dtype=np.uint8)  # or (H, W)
     >>> codec = SWebpCodec(quality=10)
-    >>> data = codec.encode(image)       # (H, W, 3) or (H, W) uint8
+    >>> data = codec.encode(image)
     >>> restored = codec.decode(data)
+    >>> restored.shape
+    (16, 24, 3)
     """
 
     def __init__(self, quality: int = 10) -> None:

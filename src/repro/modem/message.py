@@ -42,25 +42,18 @@ __all__ = ["PreambleSync", "MessageStreamingReceiver"]
 class PreambleSync:
     """A modem's marker template plus its detection operating point."""
 
-    def __init__(
-        self,
-        template: np.ndarray,
-        threshold: float,
-        min_separation: int | None = None,
-    ) -> None:
+    def __init__(self, template: np.ndarray, threshold: float) -> None:
         self.template = np.asarray(template, dtype=np.float64)
         if self.template.size == 0:
             raise ValueError("sync template must not be empty")
         self.threshold = float(threshold)
-        self.min_separation = (
-            int(min_separation) if min_separation is not None else self.template.size
-        )
 
     def correlator(self) -> StreamingCorrelator:
         return StreamingCorrelator(self.template)
 
     def detector(self) -> StreamingPeakDetector:
-        return StreamingPeakDetector(self.threshold, self.min_separation)
+        """Peaks at least one template length apart."""
+        return StreamingPeakDetector(self.threshold, self.template.size)
 
 
 class MessageStreamingReceiver:

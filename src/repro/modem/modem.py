@@ -48,6 +48,9 @@ class Modem:
     [True]
     """
 
+    #: Normalised preamble correlation a receiver counts as a frame start.
+    SYNC_THRESHOLD = 0.35
+
     def __init__(self, profile: ModemProfile | str = "sonic-ofdm") -> None:
         if isinstance(profile, str):
             profile = get_profile(profile)
@@ -149,10 +152,7 @@ class Modem:
     # -- receive ----------------------------------------------------------
 
     def receive(
-        self,
-        samples: np.ndarray,
-        sync_threshold: float = 0.35,
-        frames_per_burst: int | None = None,
+        self, samples: np.ndarray, frames_per_burst: int | None = None
     ) -> list[ReceivedFrame]:
         """Detect and decode every frame present in ``samples``.
 
@@ -169,9 +169,7 @@ class Modem:
         """
         from repro.modem.streaming import StreamingReceiver
 
-        receiver = StreamingReceiver(
-            self, sync_threshold=sync_threshold, frames_per_burst=frames_per_burst
-        )
+        receiver = StreamingReceiver(self, frames_per_burst=frames_per_burst)
         results = receiver.push(np.asarray(samples, dtype=np.float64))
         results += receiver.finish()
         return results

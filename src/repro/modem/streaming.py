@@ -46,24 +46,25 @@ __all__ = ["StreamingReceiver"]
 class StreamingReceiver:
     """Decode a broadcast fed in arbitrary chunks, in bounded memory.
 
+    >>> import numpy as np
+    >>> from repro.modem.modem import Modem
     >>> modem = Modem()
     >>> rx = StreamingReceiver(modem, frames_per_burst=1)
     >>> wave = modem.transmit_frame(bytes(100))
     >>> frames = [f for c in np.array_split(wave, 7) for f in rx.push(c)]
     >>> frames += rx.finish()
+    >>> [frame.ok for frame in frames]
+    [True]
     """
 
     def __init__(
-        self,
-        modem: "Modem",
-        sync_threshold: float = 0.35,
-        frames_per_burst: int | None = None,
+        self, modem: "Modem", frames_per_burst: int | None = None
     ) -> None:
         self._modem = modem
         self._frames_per_burst = frames_per_burst
         self._correlator = StreamingCorrelator(modem._preamble)
         self._detector = StreamingPeakDetector(
-            sync_threshold, modem._preamble.size
+            modem.SYNC_THRESHOLD, modem._preamble.size
         )
         self._buffer = np.zeros(0)
         self._buffer_start = 0  # absolute index of _buffer[0]

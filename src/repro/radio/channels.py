@@ -67,20 +67,20 @@ class FmRadioLink:
         self,
         audio: np.ndarray,
         rssi_dbm: float,
-        stereo_diff: np.ndarray | None = None,
         rds: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run ``audio`` through the whole FM chain at the given RSSI.
 
         Returns the mono audio recovered by the receiver, time-aligned
         and scaled to match the input (so the modem can decode it
-        directly).
+        directly).  :meth:`transmit_stereo` also carries the stereo
+        subchannel.
         """
         cfg = self.config
         audio = np.asarray(audio, dtype=np.float64)
         peak = float(np.max(np.abs(audio))) if audio.size else 0.0
         scale = cfg.audio_headroom / peak if peak > 0 else 1.0
-        mpx = self._mux.compose(audio * scale, stereo_diff=stereo_diff, rds=rds)
+        mpx = self._mux.compose(audio * scale, rds=rds)
         mpx_rx = self._air(mpx, rssi_dbm, "fm-link")
         mono = self._mux.extract_mono(mpx_rx)
         mono = mono[: audio.size] / scale

@@ -172,10 +172,9 @@ class StreamingFir:
     :func:`repro.dsp.filters.filter_signal` for whole arrays.
     """
 
-    def __init__(self, taps: np.ndarray, block: int | None = None) -> None:
+    def __init__(self, taps: np.ndarray) -> None:
         m = np.asarray(taps).size
-        self.block = block if block is not None else max(4096, 4 * m)
-        self._conv = BlockConvolver(taps, self.block)
+        self._conv = BlockConvolver(taps, max(4096, 4 * m))
         self.delay = (m - 1) // 2
         self._to_drop = self.delay
         # The last taps-1 filtered inputs (the context), then the inputs

@@ -48,7 +48,6 @@ class CatalogConfig:
     width: int = 1080
     max_height: int | None = 10_000
     quality: int = 10
-    expiry_hours: float = 24.0
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,7 @@ def _render_encode(state: tuple, page: tuple[str, int]) -> bytes:
     generator, renderer, config = state
     url, hour = page
     result = renderer.render(generator.page(url, hour))
-    bundle = PageBundle(
-        url,
-        result.image,
-        result.clickmap,
-        expiry_hours=config.expiry_hours,
-        quality=config.quality,
-    )
+    bundle = PageBundle(url, result.image, result.clickmap, quality=config.quality)
     return bundle.to_bytes()
 
 
@@ -297,11 +290,11 @@ class CatalogPipeline:
             queued += 1
         return queued
 
-    def drain_prefetch(self, block: bool = False) -> int:
+    def drain_prefetch(self) -> int:
         """Move finished speculative renders into the store; returns count."""
         done = 0
         for key, future in list(self._pending.items()):
-            if block or future.done():
+            if future.done():
                 data = future.result()
                 if key not in self.store:
                     self.store.put(key, data)

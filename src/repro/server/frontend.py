@@ -41,7 +41,9 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from repro.server.ledger import LedgerStats, RequestLedger
+from repro.server.scheduler import REQUEST_PRIORITY
 from repro.sim.workload import PageSizeModel, RequestTrace
+from repro.transport.bundle import EXPIRY_HOURS
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
 from repro.web.sites import SiteGenerator
 
@@ -69,7 +71,6 @@ class FrontendConfig:
     max_batch: int = 8192  # requests per dispatch batch
     max_backlog_bytes: int = 4_000_000  # carousel saturation threshold
     defer_capacity: int = 20_000  # parked requests before shedding
-    request_priority: float = 100.0  # matches SchedulerConfig
     drain_grace_hours: float = 4.0  # post-trace drain horizon
     commit_every_ticks: int = 360  # ledger commit cadence
 
@@ -85,10 +86,8 @@ class FrontendStats:
     deferred: int = 0  # requests parked by backpressure
     retried: int = 0  # deferred requests that made it on air
     shed: int = 0  # requests dropped (deferral buffer full)
-    broadcast_pages: int = 0
     broadcast_requests: int = 0
     batches: int = 0
-    ticks: int = 0
     peak_backlog_bytes: int = 0
     peak_deferred: int = 0
 
@@ -125,10 +124,11 @@ class _HourWindowMemo:
     (one O(n) sweep per simulated hour).  Everything memoised here is a
     pure function of its key, so eviction can only cost a re-compute,
     never change an outcome — which is what lets the resolver memos
-    survive multi-day traces without unbounded growth.
+    survive multi-day traces without unbounded growth.  The resolvers
+    keep the bundle expiry window.
     """
 
-    def __init__(self, window_hours: float = 24.0) -> None:
+    def __init__(self, window_hours: float = EXPIRY_HOURS) -> None:
         self._data: dict = {}
         self._hour_of: dict = {}
         self._window = max(1, int(window_hours))
@@ -161,24 +161,20 @@ class SizeModelResolver:
     (a render+encode), every later resolve is a store hit.  ``max_page_bytes``
     caps sizes the same way ``repro stream --max-page-kb`` does, keeping
     short simulated days meaningful at FM rates.  Memos are bounded to
-    the catalog expiry window (``expiry_hours``).
+    the bundle expiry window.
     """
 
     def __init__(
-        self,
-        generator: SiteGenerator,
-        quality: int = 10,
-        max_page_bytes: int | None = None,
-        expiry_hours: float = 24.0,
+        self, generator: SiteGenerator, max_page_bytes: int | None = None
     ) -> None:
         self.generator = generator
         self.urls = generator.all_urls()
-        self.size_model = PageSizeModel(generator, quality=quality)
+        self.size_model = PageSizeModel(generator)
         self.max_page_bytes = max_page_bytes
         self.store_hits = 0
         self.store_misses = 0
-        self._epochs = _HourWindowMemo(expiry_hours)
-        self._sizes = _HourWindowMemo(expiry_hours)
+        self._epochs = _HourWindowMemo()
+        self._sizes = _HourWindowMemo()
 
     def epoch(self, url_index: int, hour: int) -> int:
         key = (url_index, hour)
@@ -235,7 +231,7 @@ class CatalogResolver:
         self.urls = pipeline.generator.all_urls()
         self.store_hits = 0
         self.store_misses = 0
-        self._epochs = _HourWindowMemo(pipeline.config.expiry_hours)
+        self._epochs = _HourWindowMemo()
         self._requested: set[int] = set()
 
     def epoch(self, url_index: int, hour: int) -> int:
@@ -282,7 +278,7 @@ class CatalogResolver:
         warming: it can change hit/miss accounting, never an outcome.
         Only URLs the front end has actually resolved are speculated on,
         so idle-worker time isn't spent on pages nobody asks for."""
-        self.pipeline.drain_prefetch(block=False)
+        self.pipeline.drain_prefetch()
         return self.pipeline.prefetch(
             [self.urls[i] for i in sorted(self._requested)], hour
         )
@@ -364,7 +360,6 @@ class RequestFrontend:
         while self._tick < tick:
             finished = self.carousel.drain(cfg.tick_s)
             self._tick += 1
-            self.stats.ticks += 1
             t = self._tick * cfg.tick_s
             for url in finished:
                 self._complete(url, t)
@@ -389,7 +384,6 @@ class RequestFrontend:
         index = self._url_to_index[url]
         self._active.pop(index, None)
         arrays = self._waiting.pop(index, None)
-        self.stats.broadcast_pages += 1
         if arrays:
             ids = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
             self.ledger.mark_broadcast(ids, t)
@@ -454,7 +448,7 @@ class RequestFrontend:
             CarouselItem(
                 self.resolver.urls[index],
                 size,
-                priority=self.config.request_priority,
+                priority=REQUEST_PRIORITY,
                 digest=f"{index}:{epoch}",
             )
         )
@@ -679,7 +673,8 @@ class RequestFrontend:
         )
 
     def health(self) -> dict[str, float]:
-        """Service-health snapshot (the aiosqlite-bot idiom, sim-time)."""
+        """Service-health snapshot at the current sim time: queue depth,
+        backlog, deferrals and throughput counters."""
         s = self.stats
         return {
             "sim_hours": self.now / 3600.0,

@@ -9,9 +9,9 @@ model into that network:
   :class:`~repro.server.cache.BundleStore` (a page encoded for Lahore is
   never re-encoded for Karachi), scheduled by a
   :class:`~repro.server.scheduler.DemandScheduler` fed from each
-  region's measured SMS demand.  Each station is a transmitter, an
-  :class:`AdaptiveProfileSelector` and a
-  :class:`~repro.server.ledger.RequestLedger`, kept in per-region dicts.
+  region's measured SMS demand.  Each station is a carousel, an
+  :class:`AdaptiveProfileSelector` and its bookkeeping (the station
+  state, one per region) plus a :class:`~repro.server.ledger.RequestLedger`.
 * :func:`run_network` — an epoch-synchronous broadcast-day simulation.
   Stations evolve *independently within an epoch* (one hour) and the
   scheduler rebalances only at epoch boundaries, so a run whose
@@ -39,12 +39,12 @@ from repro.radio.lossmodel import FrameLossModel
 from repro.server.cache import BundleStore, bundle_key
 from repro.server.ledger import RequestLedger
 from repro.server.scheduler import (
+    REQUEST_PRIORITY,
     AdaptiveProfileSelector,
     DemandConfig,
     DemandScheduler,
     schedule_digest,
 )
-from repro.server.transmitters import Transmitter
 from repro.sim.geometry import Location, PopulationGeometry, RegionPartition
 from repro.sim.workload import PageSizeModel, RequestTraceConfig, generate_requests
 from repro.sms.protocol import LinkReport
@@ -52,6 +52,7 @@ from repro.transport.carousel import BroadcastCarousel, CarouselItem
 from repro.util.parallel import WorkerPool, worker_count
 from repro.util.rng import derive_key, derive_rng
 from repro.web.sites import SiteGenerator
+from repro.web.tranco import ZIPF_EXPONENT
 
 __all__ = [
     "REQUEST_PRIORITY",
@@ -67,12 +68,6 @@ __all__ = [
     "network_coverage",
 ]
 
-#: Carousel priority of user-requested pages.  Demand scores are sums of
-#: bounded EWMA/prior terms plus a slowly-growing aging term, so this
-#: keeps the paper's invariant — requests outrank every push — by a
-#: margin no realistic run can close.
-REQUEST_PRIORITY = 1e12
-
 #: (name, net payload bps, FER midpoint dB, FER scale dB) — a synthetic
 #: four-rung rate ladder spanning the modem family's envelope: fast
 #: rungs need a clean channel, the robust rung decodes near 0 dB.
@@ -82,6 +77,13 @@ DEFAULT_PROFILE_LADDER: tuple[tuple[str, float, float, float], ...] = (
     ("base", 6_000.0, 4.0, 1.5),
     ("robust", 3_000.0, 0.0, 1.5),
 )
+_PROFILE_RATES = {name: rate for name, rate, _, _ in DEFAULT_PROFILE_LADDER}
+
+#: Backpressure: arrivals are shed while a station's backlog exceeds
+#: this (a shed request still counts as demand).
+MAX_BACKLOG_BYTES = 48_000_000
+#: Frames per synthetic per-epoch receiver link report.
+LINK_REPORT_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -124,22 +126,13 @@ class NetworkConfig:
     hours: int = 24
     n_pages: int = 100
     seed: int = 42
-    quality: int = 10
     #: Simulation step; must divide the 3600 s epoch evenly.
     tick_s: float = 60.0
     #: Requests-per-second override applied to every region (None keeps
     #: each region's own rate).
     request_rate_per_s: float | None = None
-    #: Backpressure: arrivals are shed while a station's backlog exceeds
-    #: this (a shed request still counts as demand).
-    max_backlog_bytes: int = 48_000_000
     pages_per_station: int = 24
-    demand_decay: float = 0.5
     regions: tuple[RegionSpec, ...] | None = None
-    profiles: tuple[tuple[str, float, float, float], ...] = DEFAULT_PROFILE_LADDER
-    loss_threshold: float = 0.1
-    #: Frames per synthetic per-epoch receiver link report.
-    link_report_frames: int = 256
     #: Adaptation deadline: a carousel cycle that has not completed
     #: within this long forces a profile-adoption boundary anyway.
     #: Under sustained overload, request-priority arrivals can preempt
@@ -156,8 +149,6 @@ class NetworkConfig:
             raise ValueError("n_pages must be a multiple of 4")
         if self.tick_s <= 0 or 3600.0 % self.tick_s != 0.0:
             raise ValueError("tick_s must evenly divide the 3600 s epoch")
-        if not self.profiles:
-            raise ValueError("need at least one modem profile")
         if self.profile_deadline_s < self.tick_s:
             raise ValueError("profile_deadline_s must cover at least one tick")
 
@@ -194,13 +185,12 @@ class NetworkConfig:
         return tuple(base[: self.n_stations])
 
 
-def _build_selector(config: NetworkConfig) -> AdaptiveProfileSelector:
+def _build_selector() -> AdaptiveProfileSelector:
     return AdaptiveProfileSelector(
         {
             name: (rate, FrameLossModel(fer_midpoint_db=mid, fer_scale_db=scale))
-            for name, rate, mid, scale in config.profiles
-        },
-        loss_threshold=config.loss_threshold,
+            for name, rate, mid, scale in DEFAULT_PROFILE_LADDER
+        }
     )
 
 
@@ -219,7 +209,6 @@ class _SimCore:
     urls: tuple[str, ...]
     carousel: BroadcastCarousel
     selector: AdaptiveProfileSelector
-    profile_rates: dict[str, float]
     profile: str
     snr_db: float = 0.0
     pending: dict[int, list[int]] = field(default_factory=dict)
@@ -241,8 +230,6 @@ def _step_station_epoch(
     sizes: np.ndarray,
     versions: np.ndarray,
     tick_s: float,
-    max_backlog: int,
-    link_report_frames: int,
     deadline_ticks: int,
 ) -> list[tuple]:
     """Advance one station through one epoch; returns its ledger ops.
@@ -260,9 +247,9 @@ def _step_station_epoch(
     # counts are the model's own expectation — deterministic feedback
     # that keeps the selector's refit loop exercised.
     fer = core.selector.predicted_loss(core.profile, core.snr_db)
-    n_lost = int(round(min(max(fer, 0.0), 1.0) * link_report_frames))
+    n_lost = int(round(min(max(fer, 0.0), 1.0) * LINK_REPORT_FRAMES))
     core.selector.observe(
-        LinkReport(core.profile, core.snr_db, n_lost, link_report_frames)
+        LinkReport(core.profile, core.snr_db, n_lost, LINK_REPORT_FRAMES)
     )
 
     t0 = epoch * 3600.0
@@ -285,7 +272,7 @@ def _step_station_epoch(
                 core.pending[u].append(rid)
                 queued.setdefault(u, ([], []))[0].append(rid)
                 queued[u][1].append(at)
-            elif carousel.backlog_bytes() > max_backlog:
+            elif carousel.backlog_bytes() > MAX_BACKLOG_BYTES:
                 core.n_shed += 1
                 shed.setdefault(u, ([], []))[0].append(rid)
                 shed[u][1].append(at)
@@ -328,7 +315,7 @@ def _step_station_epoch(
             choice = core.selector.select(core.snr_db)
             if choice != core.profile:
                 core.profile = choice
-                carousel.rate_bps = core.profile_rates[choice]
+                carousel.rate_bps = _PROFILE_RATES[choice]
                 core.profile_switches += 1
             core.cycle_pending = {item.url for item in carousel._queue}
             core.cycle_ticks = 0
@@ -340,12 +327,7 @@ def _step_station_epoch(
 
 def _epoch_params(cfg: NetworkConfig) -> tuple:
     """Per-worker state: the run-wide arguments of ``_step_station_epoch``."""
-    return (
-        cfg.tick_s,
-        cfg.max_backlog_bytes,
-        cfg.link_report_frames,
-        max(1, int(cfg.profile_deadline_s // cfg.tick_s)),
-    )
+    return cfg.tick_s, max(1, int(cfg.profile_deadline_s // cfg.tick_s))
 
 
 def _epoch_worker(params: tuple, payload: tuple) -> tuple[_SimCore, list[tuple]]:
@@ -440,10 +422,12 @@ class NetworkResult:
 class BroadcastNetwork:
     """N regional stations over one shared bundle store.
 
-    Owns, per region, one transmitter, one profile selector and one
-    request ledger (dicts keyed by region name), the region-local
-    Tranco priors, and the :class:`DemandScheduler` that allocates pages
-    to stations at every epoch boundary.
+    Owns, per region (dicts keyed by region name), the station state —
+    carousel, profile selector and bookkeeping — and one request ledger;
+    also the region-local Tranco priors and the :class:`DemandScheduler`
+    that allocates pages to stations at every epoch boundary.  A run
+    replaces each station's state with the copy its worker returns, so
+    :attr:`stations` always holds the state the reports were built from.
     """
 
     def __init__(self, config: NetworkConfig = NetworkConfig()) -> None:
@@ -451,21 +435,21 @@ class BroadcastNetwork:
         self.regions = config.resolved_regions()
         self.generator = SiteGenerator(seed=config.seed, n_sites=config.n_pages // 4)
         self.urls: tuple[str, ...] = tuple(self.generator.all_urls())
-        self.size_model = PageSizeModel(self.generator, quality=config.quality)
+        self.size_model = PageSizeModel(self.generator)
         self.store = BundleStore(capacity=4 * config.n_pages)
-        self.transmitters: dict[str, Transmitter] = {}
-        self.selectors: dict[str, AdaptiveProfileSelector] = {}
+        self.stations: dict[str, _SimCore] = {}
         self.ledgers: dict[str, RequestLedger] = {}
         priors: dict[str, np.ndarray] = {}
-        for i, region in enumerate(self.regions):
-            self.transmitters[region.name] = Transmitter(
-                station_id=f"{region.name}-fm",
-                location=region.center,
-                frequency_mhz=88.0 + (i % 10) * 2.0,
-                coverage_km=region.radius_km,
-                rate_bps=config.profiles[0][1],
+        for region in self.regions:
+            selector = _build_selector()
+            profile = selector.select(region.snr_start_db)
+            self.stations[region.name] = _SimCore(
+                station_id=region.name,
+                urls=self.urls,
+                carousel=BroadcastCarousel(_PROFILE_RATES[profile]),
+                selector=selector,
+                profile=profile,
             )
-            self.selectors[region.name] = _build_selector(config)
             self.ledgers[region.name] = RequestLedger()
             priors[region.name] = self._region_prior(region.name)
         self.scheduler = DemandScheduler(
@@ -473,19 +457,17 @@ class BroadcastNetwork:
             config.n_pages,
             priors=priors,
             config=DemandConfig(
-                decay=config.demand_decay,
-                pages_per_station=config.pages_per_station,
-                seed=config.seed,
+                pages_per_station=config.pages_per_station, seed=config.seed
             ),
         )
 
     def _region_prior(self, name: str) -> np.ndarray:
         """Region-local Tranco prior: the global rank order, locally
         permuted (every market has its own hometown favourites), with
-        the global ``1/(rank+1)^0.9`` weight law on the local ranks."""
+        the global ``1/(rank+1)^s`` weight law on the local ranks."""
         n = self.config.n_pages
         local_rank = derive_rng(self.config.seed, "region-rank", name).permutation(n)
-        prior = (1.0 / (local_rank + 1.0)) ** 0.9
+        prior = (1.0 / (local_rank + 1.0)) ** ZIPF_EXPONENT
         return prior / prior.sum()
 
     def region_trace(self, region: RegionSpec):
@@ -504,24 +486,6 @@ class BroadcastNetwork:
             ledger.close()
 
     # -- the epoch-synchronous run ------------------------------------------
-
-    def _make_cores(self) -> dict[str, _SimCore]:
-        cores = {}
-        for region in self.regions:
-            selector = self.selectors[region.name]
-            rates = {name: rate for name, rate, _, _ in self.config.profiles}
-            profile = selector.select(region.snr_start_db)
-            tx = self.transmitters[region.name]
-            tx.carousel.rate_bps = rates[profile]
-            cores[region.name] = _SimCore(
-                station_id=region.name,
-                urls=self.urls,
-                carousel=tx.carousel,
-                selector=selector,
-                profile_rates=rates,
-                profile=profile,
-            )
-        return cores
 
     def _epoch_pages(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
         """(sizes, versions) of every corpus page at ``epoch``."""
@@ -559,7 +523,7 @@ class BroadcastNetwork:
         parent at epoch boundaries.
         """
         cfg = self.config
-        cores = self._make_cores()
+        stations = self.stations
         station_ids = [r.name for r in self.regions]
         traces = {r.name: self.region_trace(r) for r in self.regions}
         cursors = {sid: 0 for sid in station_ids}
@@ -577,13 +541,13 @@ class BroadcastNetwork:
                 # every later one reuses the bytes.  Done in the parent,
                 # in canonical order, so workers can't change accounting.
                 for region in self.regions:
-                    core = cores[region.name]
+                    core = stations[region.name]
                     core.snr_db = region.snr_at(epoch)
                     for u, score in allocations[region.name]:
                         url = self.urls[u]
                         version = int(versions[u])
                         key = bundle_key(
-                            url, version, 0, None, cfg.quality, cfg.seed
+                            url, version, 0, None, self.size_model.quality, cfg.seed
                         )
                         if self.store.get(key) is None:
                             self.store.put(key, f"{url}|{version}".encode())
@@ -606,7 +570,7 @@ class BroadcastNetwork:
                     cursors[sid] = hi
                     payloads.append(
                         (
-                            cores[sid],
+                            stations[sid],
                             (
                                 epoch,
                                 trace.times[lo:hi],
@@ -620,7 +584,7 @@ class BroadcastNetwork:
 
                 stepped = pool.map(_epoch_worker, payloads)
                 for sid, (core, ops) in zip(station_ids, stepped):
-                    cores[sid] = core
+                    stations[sid] = core  # a worker returns a copy
                     self._apply_ops(self.ledgers[sid], ops)
 
                 # Close the demand loop: each station's measured request
@@ -631,18 +595,16 @@ class BroadcastNetwork:
                     )
                     self.scheduler.observe(sid, counts)
 
-        return self._collect(cores, schedule_digests)
+        return self._collect(schedule_digests)
 
-    def _collect(
-        self, cores: dict[str, _SimCore], schedule_digests: list[str]
-    ) -> NetworkResult:
+    def _collect(self, schedule_digests: list[str]) -> NetworkResult:
         cfg = self.config
         duration_s = cfg.hours * 3600.0
         ticks = int(round(3600.0 / cfg.tick_s)) * cfg.hours
         sample_times_h = (np.arange(1, ticks + 1) * cfg.tick_s) / 3600.0
         reports = []
         for region in self.regions:
-            core = cores[region.name]
+            core = self.stations[region.name]
             ledger = self.ledgers[region.name]
             stats = ledger.stats()
             backlog_mb = np.asarray(core.backlog_samples, dtype=np.float64) / 1e6
@@ -723,12 +685,12 @@ def network_coverage(
     partition = network_partition(config)
     models = {
         name: FrameLossModel(fer_midpoint_db=mid, fer_scale_db=scale)
-        for name, _, mid, scale in config.profiles
+        for name, _, mid, scale in DEFAULT_PROFILE_LADDER
     }
     share = max(1, n_receivers // len(regions))
     merged: list[StationCoverage] = []
     for region in regions:
-        profile = config.profiles[0][0]
+        profile = DEFAULT_PROFILE_LADDER[0][0]
         if result is not None:
             profile = result.station(region.name).final_profile
         pop = run_population(

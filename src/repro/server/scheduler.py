@@ -26,8 +26,10 @@ from repro.radio.lossmodel import FrameLossModel, fit_logistic_fer
 from repro.sms.protocol import LinkReport
 from repro.util.rng import counter_uniforms, derive_key
 from repro.web.sites import SiteGenerator
+from repro.web.tranco import ZIPF_EXPONENT
 
 __all__ = [
+    "REQUEST_PRIORITY",
     "SchedulerConfig",
     "PopularityScheduler",
     "AdaptiveProfileSelector",
@@ -37,14 +39,28 @@ __all__ = [
 ]
 
 
+#: Carousel priority of every user-requested page, on all three request
+#: paths (:class:`~repro.server.server.SonicServer`, the request front
+#: end and the station network).  A popularity push is at most a Tranco
+#: weight (<= 1) x 2 for a landing page x :data:`MORNING_NEWS_BOOST`,
+#: and a demand score sums bounded EWMA/prior terms plus a slowly
+#: growing aging term, so this keeps the paper's invariant — requests
+#: outrank every push — by a margin no realistic run can close.
+REQUEST_PRIORITY = 1e12
+
+#: Airtime guard: pages queued by one hourly push.
+MAX_PAGES_PER_HOUR = 100
+#: Local hours of the morning news push ("popular news sites can be
+#: pushed early in the morning", Section 3.1) ...
+MORNING_PUSH_HOURS = (6, 7, 8)
+#: ... and the priority factor news pages get inside it.
+MORNING_NEWS_BOOST = 3.0
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Push policy knobs."""
 
-    max_pages_per_hour: int = 100  # airtime guard
-    morning_push_hours: tuple[int, ...] = (6, 7, 8)  # local hours
-    morning_news_boost: float = 3.0
-    request_priority: float = 100.0  # user requests outrank any push
     refresh_top_n: int = 3  # unchanged popular pages rebroadcast hourly
 
 
@@ -64,11 +80,8 @@ class PopularityScheduler:
         weight = site.weight
         is_landing = url.endswith("/")
         priority = weight * (2.0 if is_landing else 1.0)
-        if (
-            site.category == "news"
-            and hour % 24 in self.config.morning_push_hours
-        ):
-            priority *= self.config.morning_news_boost
+        if site.category == "news" and hour % 24 in MORNING_PUSH_HOURS:
+            priority *= MORNING_NEWS_BOOST
         return priority
 
     def pages_to_push(self, hour: int) -> list[tuple[str, float]]:
@@ -93,7 +106,7 @@ class PopularityScheduler:
             ((u, self.page_priority(u, hour)) for u in due),
             key=lambda pair: -pair[1],
         )
-        return ranked[: self.config.max_pages_per_hour]
+        return ranked[:MAX_PAGES_PER_HOUR]
 
 
 @dataclass
@@ -133,23 +146,15 @@ class AdaptiveProfileSelector:
         }
 
     @classmethod
-    def from_tournament(
-        cls, result, loss_threshold: float | None = None
-    ) -> "AdaptiveProfileSelector":
-        """Seed the ladder from a finished profile tournament."""
+    def from_tournament(cls, result) -> "AdaptiveProfileSelector":
+        """Seed the ladder, and its loss threshold, from a finished
+        profile tournament."""
         models = result.loss_models()
         profiles = {
             name: (result.net_rates[name], models[name])
             for name in result.config.profiles
         }
-        return cls(
-            profiles,
-            loss_threshold=(
-                result.config.loss_threshold
-                if loss_threshold is None
-                else loss_threshold
-            ),
-        )
+        return cls(profiles, loss_threshold=result.config.loss_threshold)
 
     @property
     def profiles(self) -> list[str]:
@@ -200,36 +205,36 @@ class AdaptiveProfileSelector:
         return True
 
 
+#: Score weight of measured (EWMA) request demand.
+DEMAND_WEIGHT = 1.0
+#: Score weight of the region-local Tranco rank prior.
+PRIOR_WEIGHT = 0.25
+#: EWMA demand below this is snapped to zero.  Exponential decay never
+#: reaches 0.0 in floats, so without the snap a single ancient request
+#: would keep a page "live" (and aging) forever.
+QUIET_THRESHOLD = 1e-6
+
+
 @dataclass(frozen=True)
 class DemandConfig:
     """Demand-driven allocation knobs for the multi-station scheduler."""
 
     #: Carry-over of last epoch's demand into this one (exponential decay).
     decay: float = 0.5
-    #: Score weight of measured (EWMA) request demand.
-    demand_weight: float = 1.0
-    #: Score weight of the region-local Tranco rank prior.
-    prior_weight: float = 0.25
     #: Score weight of the aging counter (starvation-freeness guarantee).
     aging_weight: float = 0.05
     #: Pages each station may carry per epoch (airtime budget).
     pages_per_station: int = 24
     #: Seed keying the deterministic tie-break stream.
     seed: int = 0
-    #: EWMA demand below this is snapped to zero.  Exponential decay
-    #: never reaches 0.0 in floats, so without the snap a single ancient
-    #: request would keep a page "live" (and aging) forever.
-    quiet_threshold: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.decay < 1.0:
             raise ValueError("decay must be in [0, 1)")
-        if self.quiet_threshold < 0:
-            raise ValueError("quiet_threshold must be non-negative")
         if self.pages_per_station < 1:
             raise ValueError("pages_per_station must be positive")
-        if self.aging_weight < 0 or self.demand_weight < 0 or self.prior_weight < 0:
-            raise ValueError("score weights must be non-negative")
+        if self.aging_weight < 0:
+            raise ValueError("aging_weight must be non-negative")
 
 
 class DemandScheduler:
@@ -237,8 +242,8 @@ class DemandScheduler:
 
     Each station scores every page as::
 
-        score = demand_weight * ewma_demand
-              + prior_weight  * region_prior
+        score = DEMAND_WEIGHT * ewma_demand
+              + PRIOR_WEIGHT  * region_prior
               + aging_weight  * age
 
     ``ewma_demand`` folds the station ledger's per-URL request counts in
@@ -270,8 +275,8 @@ class DemandScheduler:
         self.config = config
         self.n_pages = n_pages
         self.station_ids = list(station_ids)
-        # Default prior: the global Tranco weight law 1/(rank+1)^0.9.
-        flat = (1.0 / np.arange(1.0, n_pages + 1.0)) ** 0.9
+        # Default prior: the global Tranco weight law 1/(rank+1)^s.
+        flat = (1.0 / np.arange(1.0, n_pages + 1.0)) ** ZIPF_EXPONENT
         flat /= flat.sum()
         self._priors: dict[str, np.ndarray] = {}
         for sid in self.station_ids:
@@ -315,11 +320,11 @@ class DemandScheduler:
             demand = self._demand[sid]
             demand *= cfg.decay
             demand += self._pending[sid]
-            demand[demand < cfg.quiet_threshold] = 0.0
+            demand[demand < QUIET_THRESHOLD] = 0.0
             self._pending[sid] = np.zeros(self.n_pages)
             score = (
-                cfg.demand_weight * demand
-                + cfg.prior_weight * self._priors[sid]
+                DEMAND_WEIGHT * demand
+                + PRIOR_WEIGHT * self._priors[sid]
                 + cfg.aging_weight * self._age[sid]
             )
             tiebreak = counter_uniforms(

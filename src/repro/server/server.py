@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from repro.server.cache import BundleStore
 from repro.server.catalog import CatalogConfig, CatalogPage, CatalogPipeline
 from repro.server.scheduler import (
+    REQUEST_PRIORITY,
     AdaptiveProfileSelector,
     PopularityScheduler,
-    SchedulerConfig,
 )
 from repro.server.transmitters import (
     Transmitter,
@@ -37,11 +37,16 @@ from repro.sms.protocol import (
 )
 from repro.transport.bundle import BundleTransport, PageBundle
 from repro.transport.carousel import CarouselItem
+from repro.transport.framing import FRAME_SIZE
 from repro.web.dom import Heading, LinkList, Page, Paragraph
 from repro.web.render import PageRenderer
 from repro.web.sites import SiteGenerator
 
 __all__ = ["ServerConfig", "SonicServer"]
+
+#: URL fragments of pages behind a login, which a one-way broadcast
+#: cannot serve: requests for them are rejected as ``unsupported-auth``.
+UNSUPPORTED_MARKERS = ("login", "account", "bank", "signin")
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,6 @@ class ServerConfig:
     render_width: int = 1080
     max_pixel_height: int | None = 10_000
     quality: int = 10
-    client_cache_hours: float = 24.0
-    unsupported_markers: tuple[str, ...] = ("login", "account", "bank", "signin")
 
 
 @dataclass
@@ -79,16 +82,14 @@ class SonicServer:
         transmitters: TransmitterRegistry,
         gateway: SmsGateway,
         config: ServerConfig = ServerConfig(),
-        scheduler_config: SchedulerConfig = SchedulerConfig(),
-        bundle_store: BundleStore | None = None,
         profile_selector: AdaptiveProfileSelector | None = None,
     ) -> None:
         self.generator = generator
         self.transmitters = transmitters
         self.gateway = gateway
         self.config = config
-        self.bundle_store = bundle_store if bundle_store is not None else BundleStore()
-        self.scheduler = PopularityScheduler(generator, scheduler_config)
+        self.bundle_store = BundleStore()
+        self.scheduler = PopularityScheduler(generator)
         self.renderer = PageRenderer(
             width=config.render_width, max_height=config.max_pixel_height
         )
@@ -196,7 +197,7 @@ class SonicServer:
         """The paper's core request flow: validate, render, queue, ACK."""
         self.stats.requests += 1
         url = request.url
-        if any(marker in url for marker in self.config.unsupported_markers):
+        if any(marker in url for marker in UNSUPPORTED_MARKERS):
             self.stats.rejected += 1
             self._reply(sender, RequestError(url, "unsupported-auth").to_text(), now)
             return
@@ -213,11 +214,7 @@ class SonicServer:
             self._reply(sender, RequestError(url, "unknown-site").to_text(), now)
             return
         self.enqueue_broadcast(
-            tx,
-            url,
-            page.data,
-            priority=self.scheduler.config.request_priority,
-            version=page.epoch,
+            tx, url, page.data, priority=REQUEST_PRIORITY, version=page.epoch
         )
         eta = tx.carousel.eta_seconds(url) or 0.0
         self._reply(sender, RequestAck(url, eta).to_text(), now)
@@ -244,13 +241,9 @@ class SonicServer:
         )
         rendered = self.renderer.render(page)
         bundle = PageBundle(
-            url, rendered.image, rendered.clickmap,
-            expiry_hours=self.config.client_cache_hours, quality=self.config.quality,
+            url, rendered.image, rendered.clickmap, quality=self.config.quality
         )
-        data = bundle.to_bytes()
-        self.enqueue_broadcast(
-            tx, url, data, priority=self.scheduler.config.request_priority
-        )
+        self.enqueue_broadcast(tx, url, bundle.to_bytes(), priority=REQUEST_PRIORITY)
         eta = tx.carousel.eta_seconds(url) or 0.0
         self._reply(sender, RequestAck(url, eta).to_text(), now)
 
@@ -304,8 +297,8 @@ class SonicServer:
         tx.carousel.enqueue(
             CarouselItem(
                 f"sonic.catalog/{tx.station_id}",
-                len(frames) * 100,
-                priority=self.scheduler.config.request_priority * 2,
+                len(frames) * FRAME_SIZE,
+                priority=2 * REQUEST_PRIORITY,
                 frames=frames,
             )
         )
@@ -328,7 +321,6 @@ class SonicServer:
                     width=self.config.render_width,
                     max_height=self.config.max_pixel_height,
                     quality=self.config.quality,
-                    expiry_hours=self.config.client_cache_hours,
                 ),
                 store=self.bundle_store,
                 generator=self.generator,

@@ -108,12 +108,7 @@ class BroadcastEncodeCache:
         self._put(key, frames)
         return frames
 
-    def burst(
-        self,
-        payloads: list[bytes],
-        modem: "Modem",
-        digest: str | None = None,
-    ) -> np.ndarray:
+    def burst(self, payloads: list[bytes], modem: "Modem") -> np.ndarray:
         """Modulated audio for one frame burst — the streaming TX unit.
 
         The carousel rebroadcasts the same pages for hours, so the
@@ -122,7 +117,7 @@ class BroadcastEncodeCache:
         lets repeats skip FEC + OFDM without ever materialising the
         whole broadcast waveform.
         """
-        digest = digest if digest is not None else payload_digest(b"".join(payloads))
+        digest = payload_digest(b"".join(payloads))
         profile = modem.profile
         key = ("burst", digest, profile.name, profile.fec, len(payloads))
         cached = self._get(key)
@@ -149,7 +144,6 @@ class Transmitter:
     frequency_mhz: float
     coverage_km: float
     rate_bps: float = 10_000.0
-    cache_capacity: int = 64
     carousel: BroadcastCarousel = field(init=False)
     cache: BroadcastEncodeCache = field(init=False)
 
@@ -159,7 +153,7 @@ class Transmitter:
         if self.coverage_km <= 0:
             raise ValueError("coverage radius must be positive")
         self.carousel = BroadcastCarousel(self.rate_bps)
-        self.cache = BroadcastEncodeCache(self.cache_capacity)
+        self.cache = BroadcastEncodeCache()
 
     def covers(self, where: Location) -> bool:
         return distance_km(self.location, where) <= self.coverage_km

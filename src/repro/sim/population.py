@@ -24,7 +24,6 @@ chunked, and multiprocess runs are bit-identical by construction.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -50,6 +49,10 @@ __all__ = [
 #: carried are exactly the pixels that go dark.
 _K_TEXT = 8.0
 
+#: The FM mast every population listens to (log-distance path loss; the
+#: per-receiver shadowing is ``PopulationConfig.shadowing_sigma_db``).
+PROPAGATION = PropagationModel()
+
 
 @dataclass(frozen=True)
 class PopulationConfig:
@@ -63,10 +66,7 @@ class PopulationConfig:
     # page at the capped page size used throughout the CLI demos.
     pages: int = 200
     frames_per_page: int = 64
-    # Frames a page may lose and still decode (UEP / FEC headroom).
-    page_loss_tolerance: int = 0
     geometry: PopulationGeometry = PopulationGeometry()
-    propagation: PropagationModel = PropagationModel()
     shadowing_sigma_db: float = 4.0
     # Receivers processed per vectorised batch: bounds working memory
     # (a few float64 arrays of this length) without affecting results.
@@ -88,8 +88,6 @@ class PopulationConfig:
             raise ValueError("hours must be positive")
         if self.pages < 1 or self.frames_per_page < 1:
             raise ValueError("carousel needs at least one page and frame")
-        if self.page_loss_tolerance < 0:
-            raise ValueError("page_loss_tolerance must be >= 0")
         if self.chunk_receivers < 1:
             raise ValueError("chunk_receivers must be >= 1")
 
@@ -189,25 +187,15 @@ def _make_plan(config: PopulationConfig) -> _PopulationPlan:
     )
 
 
-def _page_success_probability(
-    p_loss: np.ndarray, frames_per_page: int, tolerance: int
-) -> np.ndarray:
+def _page_success_probability(p_loss: np.ndarray, frames_per_page: int) -> np.ndarray:
     """P(page decodes in one carousel cycle) per receiver.
 
-    A page survives a cycle when at most ``tolerance`` of its
-    ``frames_per_page`` frames are lost — the binomial CDF, summed
-    term-by-term (the tolerance is small, so this stays O(t) vectorised
-    passes rather than a scipy dependency).
+    A bundle opens only once every chunk is present, so a page survives
+    a cycle when none of its ``frames_per_page`` frames is lost:
+    ``(1 - p) ** frames_per_page``, computed in the log domain.
     """
-    p = np.clip(p_loss, 0.0, 1.0)
-    q = np.zeros_like(p)
-    log_p = np.log(np.clip(p, 1e-300, 1.0))
-    log_1mp = np.log1p(-np.clip(p, 0.0, 1.0 - 1e-15))
-    n = frames_per_page
-    for k in range(min(tolerance, n) + 1):
-        log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        q += np.exp(log_comb + k * log_p + (n - k) * log_1mp)
-    return np.clip(q, 0.0, 1.0)
+    p = np.clip(p_loss, 0.0, 1.0 - 1e-15)
+    return np.exp(frames_per_page * np.log1p(-p))
 
 
 def _simulate_chunk(
@@ -235,7 +223,7 @@ def _simulate_chunk(
         if config.shadowing_sigma_db > 0
         else None
     )
-    rssi = config.propagation.rssi_dbm_batch(distances, shadow)
+    rssi = PROPAGATION.rssi_dbm_batch(distances, shadow)
     snr = model.audio_snr_from_rssi(rssi)
     p_loss = np.clip(model.frame_error_probability(snr), 0.0, 1.0)
 
@@ -263,9 +251,7 @@ def _simulate_chunk(
 
     # 4. Page-level outcomes: P(decoded by end of horizon) per page,
     # one Bernoulli draw per (receiver, page) at counter (i * P + j).
-    q_cycle = _page_success_probability(
-        p_loss, config.frames_per_page, config.page_loss_tolerance
-    )
+    q_cycle = _page_success_probability(p_loss, config.frames_per_page)
     log_miss = np.log1p(-np.clip(q_cycle, 0.0, 1.0 - 1e-15))
     pages_decoded = np.zeros(n, dtype=np.int64)
     with np.errstate(over="ignore"):

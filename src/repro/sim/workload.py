@@ -22,6 +22,7 @@ import numpy as np
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
 from repro.util.rng import counter_uniforms, derive_key, derive_rng
 from repro.web.sites import SiteGenerator
+from repro.web.tranco import ZIPF_EXPONENT
 
 __all__ = [
     "PageSizeModel",
@@ -44,6 +45,8 @@ _CATEGORY_MEDIAN_BYTES = {
 }
 _SIGMA = 0.35  # log-normal spread across pages
 _EPOCH_JITTER = 0.08  # hour-to-hour size wobble of the same page
+#: Backlog sampling resolution of a Figure 4(c) run.
+SAMPLE_MINUTES = 6
 
 
 class PageSizeModel:
@@ -83,8 +86,9 @@ class RequestTraceConfig:
     """One simulated day of SMS page-request traffic.
 
     URL popularity is Zipf over the corpus's Tranco rank order (the same
-    ``1/rank^0.9`` law :class:`~repro.web.tranco.TrancoList` assigns its
-    popularity weights), and arrivals are a Poisson process under the
+    ``1/rank^s`` law, :data:`~repro.web.tranco.ZIPF_EXPONENT`, that
+    :class:`~repro.web.tranco.TrancoList` assigns its popularity
+    weights), and arrivals are a Poisson process under the
     simulated clock.  With ``n_requests`` set, the trace is the Poisson
     process conditioned on that exact count — arrival times become order
     statistics of uniforms — so benchmarks can pin "10⁶ queued requests"
@@ -95,7 +99,6 @@ class RequestTraceConfig:
     n_pages: int = 100
     rate_per_s: float = 12.0
     n_requests: int | None = None  # exact count (overrides rate_per_s)
-    zipf_exponent: float = 0.9  # matches TrancoList's weight law
     seed: int = 42
 
     @property
@@ -155,7 +158,7 @@ def generate_requests(config: RequestTraceConfig) -> RequestTrace:
 
     # Zipf-over-rank page choice: corpus URLs are already in Tranco rank
     # order, so index i gets weight 1/(i+1)^s.
-    weights = 1.0 / np.arange(1, config.n_pages + 1) ** config.zipf_exponent
+    weights = 1.0 / np.arange(1, config.n_pages + 1) ** ZIPF_EXPONENT
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     u = counter_uniforms(key_u, np.arange(n))
@@ -171,7 +174,6 @@ class WorkloadConfig:
     rate_bps: float = 10_000.0
     n_pages: int = 100  # 100 -> 25 sites, 200 -> 50 sites
     n_hours: int = 72  # the paper collected 3 days
-    sample_minutes: int = 6  # backlog sampling resolution
     seed: int = 42
     quality: int = 10
 
@@ -189,7 +191,6 @@ class WorkloadResult:
     times_hours: np.ndarray
     backlog_mb: np.ndarray
     enqueued_mb_per_hour: np.ndarray
-    completed_pages: int
 
     def peak_backlog_mb(self) -> float:
         return float(np.max(self.backlog_mb))
@@ -202,16 +203,10 @@ class WorkloadResult:
 class BroadcastWorkload:
     """Replay the hourly re-render schedule against a carousel."""
 
-    def __init__(
-        self,
-        config: WorkloadConfig = WorkloadConfig(),
-        size_model: PageSizeModel | None = None,
-    ) -> None:
+    def __init__(self, config: WorkloadConfig = WorkloadConfig()) -> None:
         self.config = config
         self.generator = SiteGenerator(seed=config.seed, n_sites=config.n_sites)
-        self.size_model = size_model or PageSizeModel(
-            self.generator, quality=config.quality
-        )
+        self.size_model = PageSizeModel(self.generator, quality=config.quality)
 
     def enqueue_hour(
         self, carousel: BroadcastCarousel, hour: int, pipeline=None
@@ -254,7 +249,7 @@ class BroadcastWorkload:
         times: list[float] = []
         backlog: list[float] = []
         hourly_mb: list[float] = []
-        step_s = cfg.sample_minutes * 60
+        step_s = SAMPLE_MINUTES * 60
         samples_per_hour = 3600 // step_s
 
         for hour in range(cfg.n_hours):
@@ -265,9 +260,4 @@ class BroadcastWorkload:
                 times.append(hour + (k + 1) / samples_per_hour)
                 backlog.append(carousel.backlog_bytes() / 1e6)
 
-        return WorkloadResult(
-            np.array(times),
-            np.array(backlog),
-            np.array(hourly_mb),
-            completed_pages=len(carousel.completed),
-        )
+        return WorkloadResult(np.array(times), np.array(backlog), np.array(hourly_mb))

@@ -23,9 +23,14 @@ from repro.transport.framing import (
 )
 from repro.web.clickmap import ClickMap
 
-__all__ = ["PageBundle", "BundleTransport"]
+__all__ = ["EXPIRY_HOURS", "PageBundle", "BundleTransport"]
 
 _BUNDLE_MAGIC = b"SNBD"
+
+#: Client cache lifetime the server stamps on every bundle, and the
+#: window its catalog memos keep: the corpus is re-rendered hourly, so
+#: a day-old screenshot is stale.
+EXPIRY_HOURS = 24.0
 
 
 @dataclass
@@ -35,7 +40,7 @@ class PageBundle:
     url: str
     image: np.ndarray  # (H, W, 3) uint8 screenshot
     clickmap: ClickMap
-    expiry_hours: float = 24.0  # cache lifetime dictated by the server
+    expiry_hours: float = EXPIRY_HOURS  # cache lifetime dictated by the server
     quality: int = 10
 
     def to_bytes(self) -> bytes:

@@ -46,7 +46,6 @@ class BroadcastCarousel:
         self._queue: list[CarouselItem] = []
         self._backlog = 0  # unsent bytes, kept in lockstep with _queue
         self.total_sent_bytes = 0
-        self.completed: list[tuple[str, float]] = []  # (url, completion time)
         self._now = 0.0
 
     # -- queue management ------------------------------------------------------------
@@ -123,7 +122,6 @@ class BroadcastCarousel:
             self._backlog -= take
             if item.remaining_bytes == 0:
                 finished.append(item.url)
-                self.completed.append((item.url, self._now + seconds))
                 self._queue.pop(0)
         self._now += seconds
         return finished
@@ -132,8 +130,8 @@ class BroadcastCarousel:
         """Advance the carousel clock without draining any bytes.
 
         The streaming transmitter drains via :meth:`emit_frames` as the
-        modem consumes payloads; this keeps completion timestamps and
-        ``enqueued_at`` ordering consistent with the audio clock.
+        modem consumes payloads; this keeps ``enqueued_at`` ordering
+        consistent with the audio clock.
         """
         if seconds < 0:
             raise ValueError("cannot advance negative time")
@@ -167,7 +165,6 @@ class BroadcastCarousel:
                 raise ValueError(f"item {item.url} has no frame payloads")
             if item.frames_sent >= len(item.frames):
                 self._backlog -= item.remaining_bytes
-                self.completed.append((item.url, self._now))
                 self._queue.pop(0)
                 continue
             yield item.url, item.frames[item.frames_sent]
@@ -185,5 +182,4 @@ class BroadcastCarousel:
             if item.frames_sent >= len(item.frames):
                 self._backlog -= item.remaining_bytes
                 item.sent_bytes = item.size_bytes
-                self.completed.append((item.url, self._now))
                 self._queue.pop(0)

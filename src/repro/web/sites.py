@@ -32,7 +32,16 @@ from repro.web.dom import (
 )
 from repro.web.tranco import TrancoList
 
-__all__ = ["Website", "SiteGenerator", "CATEGORY_REFRESH_HOURS"]
+__all__ = [
+    "Website",
+    "SiteGenerator",
+    "CATEGORY_REFRESH_HOURS",
+    "INTERNAL_PAGES_PER_SITE",
+]
+
+#: Internal pages each site contributes beside its landing page (the
+#: paper's corpus: 25 sites, 100 pages).
+INTERNAL_PAGES_PER_SITE = 3
 
 #: Hours between content refreshes, per category.
 CATEGORY_REFRESH_HOURS = {
@@ -113,18 +122,10 @@ def _categorise(domain: str) -> str:
 class SiteGenerator:
     """Builds the ranked corpus and generates page content per hour."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        n_sites: int = 25,
-        internal_per_site: int = 3,
-        tranco: TrancoList | None = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, n_sites: int = 25) -> None:
         self.seed = seed
         self.n_sites = n_sites
-        self.internal_per_site = internal_per_site
-        tranco = tranco or TrancoList(seed=seed, min_pk=n_sites)
-        entries = tranco.top(n_sites, suffix=".pk")
+        entries = TrancoList(seed=seed, min_pk=n_sites).top(n_sites, suffix=".pk")
         if len(entries) < n_sites:
             raise ValueError(
                 f"Tranco slice has only {len(entries)} .pk domains, need {n_sites}"
@@ -133,7 +134,8 @@ class SiteGenerator:
         for i, entry in enumerate(entries):
             category = _categorise(entry.domain)
             paths = tuple(
-                f"/{category}/story-{j}" for j in range(1, internal_per_site + 1)
+                f"/{category}/story-{j}"
+                for j in range(1, INTERNAL_PAGES_PER_SITE + 1)
             )
             self._sites.append(
                 Website(entry.domain, category, i + 1, entry.weight, paths)

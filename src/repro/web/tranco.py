@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.util.rng import derive_rng
 
-__all__ = ["TrancoEntry", "TrancoList"]
+__all__ = ["ZIPF_EXPONENT", "TrancoEntry", "TrancoList"]
+
+#: Exponent of the Zipf popularity law: the domain at rank r weighs
+#: ``1/r**ZIPF_EXPONENT``.  Request traces and the schedulers' rank
+#: priors follow the same law.
+ZIPF_EXPONENT = 0.9
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class TrancoList:
         # as Tranco's Pakistan slice does.
         ranked = [domains[i] for i in order]
         self.entries = [
-            TrancoEntry(rank=i + 1, domain=d, weight=1.0 / (i + 1) ** 0.9)
+            TrancoEntry(rank=i + 1, domain=d, weight=1.0 / (i + 1) ** ZIPF_EXPONENT)
             for i, d in enumerate(ranked)
         ]
 

@@ -110,13 +110,23 @@ class TestCli:
         assert "1 store hits" in out
 
     def test_simulate(self, capsys):
-        assert main([
+        # The Figure 3 run, without and with user C's SMS request: the
+        # requested page was pushed at hour 0, so it is a store hit and
+        # user C gets one ACK.
+        base = [
             "simulate", "--seconds", "120", "--sites", "2",
             "--width", "360", "--max-height", "800",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "user-c" in out
-        assert "server:" in out
+        ]
+        for extra, requests, acks in (
+            ([], "0 requests, 0 store hits", 0),
+            (["--request", "cricketpk.pk/sports/story-1"],
+             "1 requests, 1 store hits", 1),
+        ):
+            assert main(base + extra) == 0
+            out = capsys.readouterr().out
+            assert f"server: 8 renders, 8 pushes, {requests}" in out
+            user_c = next(line for line in out.splitlines() if "user-c" in line)
+            assert user_c.endswith(f"acks {acks}")
 
     def test_stream(self, capsys):
         assert main([

@@ -45,7 +45,7 @@ class TestFilters:
         taps = fir_lowpass(8_000.0, fs, 127)
         t = np.arange(2400) / fs
         x = np.sin(2 * np.pi * 2_000 * t)
-        y = filter_signal(taps, x, compensate_delay=True)
+        y = filter_signal(taps, x)
         lag = np.argmax(np.correlate(y[200:-200], x[200:-200], "full")) - (
             x[200:-200].size - 1
         )

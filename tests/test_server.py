@@ -170,6 +170,23 @@ class TestSonicServer:
         assert pushed == len(generator.all_urls())
         assert registry.get("lhr").carousel.queue_length() == pushed
 
+    def test_request_outranks_every_push(self, server_env):
+        # A requested page jumps the whole hourly push; the catalog
+        # announcement of what is coming goes out ahead of it.
+        _, _, registry, server = server_env
+        tx = registry.get("lhr")
+        server.hourly_push(0.0)
+        ranked = [url for url, _ in server.scheduler.pages_to_push(0)]
+        assert tx.carousel.head().url == ranked[0]
+        server.handle_page_request(
+            PageRequest(ranked[-1], _LAHORE.lat, _LAHORE.lon), "+92306", now=0.0
+        )
+        assert tx.carousel.head().url == ranked[-1]
+        assert tx.carousel.queue_length() == len(ranked)  # re-ranked, not re-queued
+        server.broadcast_catalog(tx, 0.0)
+        assert tx.carousel.head().url == "sonic.catalog/lhr"
+        assert tx.carousel.eta_seconds(ranked[-1]) < tx.carousel.eta_seconds(ranked[0])
+
     def test_page_ids_stable(self, server_env):
         *_, server = server_env
         a = server.page_id("x.pk/")

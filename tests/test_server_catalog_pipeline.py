@@ -139,7 +139,7 @@ class TestPrefetch:
             # worker defers the render, so the store stays equal to the
             # serial run rather than a superset of it.
             pipeline.prefetch(pipeline.generator.all_urls(), hour=9)
-            pipeline.drain_prefetch(block=False)
+            pipeline.drain_prefetch()
             assert pipeline.store.content_digest() == serial.store.content_digest()
 
 

@@ -98,6 +98,41 @@ class TestDeterminism:
         pooled = run_network(config, processes=2)
         assert serial.network_digest() == pooled.network_digest()
 
+    def test_station_state_after_run_matches_reports(self):
+        # A pooled run steps copies of the stations in its workers; the
+        # network must keep the copies they return, not the originals.
+        config = NetworkConfig(n_stations=2, hours=3, tick_s=120.0, seed=42)
+        duration_s = config.hours * 3600.0
+        states = []
+        for processes in (1, 2):
+            network = BroadcastNetwork(config)
+            try:
+                result = network.run(processes)
+            finally:
+                network.close()
+            state = {}
+            for report in result.stations:
+                station = network.stations[report.station_id]
+                sent = station.carousel.total_sent_bytes
+                assert sent * 8.0 / duration_s == report.goodput_bps
+                assert station.profile == report.final_profile
+                assert len(station.profile_history) == config.hours
+                link_reports = sum(
+                    len(p.samples) for p in station.selector._states.values()
+                )
+                assert link_reports == config.hours  # one per epoch
+                state[report.station_id] = (
+                    sent,
+                    station.carousel.backlog_bytes(),
+                    station.profile_history,
+                    station.backlog_samples,
+                    station.n_requests,
+                    station.n_shed,
+                    station.pending,
+                )
+            states.append(state)
+        assert states[0] == states[1]
+
     def test_different_seeds_diverge(self):
         a = run_network(NetworkConfig(n_stations=2, seed=1, **_FAST))
         b = run_network(NetworkConfig(n_stations=2, seed=2, **_FAST))
