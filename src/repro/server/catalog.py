@@ -182,6 +182,9 @@ class CatalogPipeline:
         self._pool: WorkerPool | None = None
         self._pending: dict[str, Future] = {}
         self._prefetch_keys: set[str] = set()
+        # Prefetches drain_prefetch stored before any job asked for them;
+        # each counts as used at its first store hit.
+        self._drained_prefetch_keys: set[str] = set()
         self.prefetch_submitted = 0
         self.prefetch_used = 0
 
@@ -211,6 +214,7 @@ class CatalogPipeline:
             self._pool = None
             self._pending.clear()
             self._prefetch_keys.clear()
+            self._drained_prefetch_keys.clear()
 
     def __enter__(self) -> "CatalogPipeline":
         return self
@@ -257,6 +261,11 @@ class CatalogPipeline:
         for url in urls:
             key, epoch = self.page_key(url, hour)
             data = self.store.get(key)
+            if key in self._drained_prefetch_keys:
+                # First request since the drain: used unless evicted.
+                self._drained_prefetch_keys.discard(key)
+                if data is not None:
+                    self.prefetch_used += 1
             if data is not None:
                 entries.append((url, key, epoch, data, True))
                 continue
@@ -299,6 +308,8 @@ class CatalogPipeline:
                 if key not in self.store:
                     self.store.put(key, data)
                 del self._pending[key]
-                self._prefetch_keys.discard(key)
+                if key in self._prefetch_keys:
+                    self._prefetch_keys.discard(key)
+                    self._drained_prefetch_keys.add(key)
                 done += 1
         return done

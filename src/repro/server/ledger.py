@@ -245,11 +245,13 @@ class RequestLedger:
             " broadcast_at, status FROM requests ORDER BY req_id"
         )
         while True:
-            rows = cursor.fetchmany(65_536)
+            # Small batches bound the row tuples held at once; hashing a
+            # batch's joined reprs feeds sha256 the same bytes as one
+            # update per row.
+            rows = cursor.fetchmany(1_024)
             if not rows:
                 break
-            for row in rows:
-                h.update(repr(row).encode())
+            h.update("".join(map(repr, rows)).encode())
         return h.hexdigest()
 
     def reconcile(self) -> dict[str, int]:

@@ -317,7 +317,7 @@ def _step_station_epoch(
                 core.profile = choice
                 carousel.rate_bps = _PROFILE_RATES[choice]
                 core.profile_switches += 1
-            core.cycle_pending = {item.url for item in carousel._queue}
+            core.cycle_pending = {item.url for item in carousel.queued_items()}
             core.cycle_ticks = 0
 
         core.backlog_samples.append(carousel.backlog_bytes())
@@ -436,6 +436,9 @@ class BroadcastNetwork:
         self.generator = SiteGenerator(seed=config.seed, n_sites=config.n_pages // 4)
         self.urls: tuple[str, ...] = tuple(self.generator.all_urls())
         self.size_model = PageSizeModel(self.generator)
+        # Each page's version and size at the last epoch priced (-1: none).
+        self._page_versions = np.full(len(self.urls), -1, dtype=np.int64)
+        self._page_sizes = np.zeros(len(self.urls), dtype=np.int64)
         self.store = BundleStore(capacity=4 * config.n_pages)
         self.stations: dict[str, _SimCore] = {}
         self.ledgers: dict[str, RequestLedger] = {}
@@ -488,18 +491,19 @@ class BroadcastNetwork:
     # -- the epoch-synchronous run ------------------------------------------
 
     def _epoch_pages(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sizes, versions) of every corpus page at ``epoch``."""
+        """(sizes, versions) of every corpus page at ``epoch``.
+
+        A size is a pure function of ``(url, version)``, so only pages
+        whose version changed since the last epoch priced are priced again.
+        """
         versions = np.array(
             [self.generator.effective_epoch(url, epoch) for url in self.urls],
             dtype=np.int64,
         )
-        sizes = np.array(
-            [
-                self.size_model.size_at(url, int(versions[i]))
-                for i, url in enumerate(self.urls)
-            ],
-            dtype=np.int64,
-        )
+        sizes = self._page_sizes.copy()
+        for i in np.flatnonzero(versions != self._page_versions):
+            sizes[i] = self.size_model.size_at(self.urls[i], int(versions[i]))
+        self._page_versions, self._page_sizes = versions, sizes
         return sizes, versions
 
     def _apply_ops(self, ledger: RequestLedger, ops: list[tuple]) -> None:

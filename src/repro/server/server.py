@@ -276,7 +276,7 @@ class SonicServer:
 
         hour = int(now // 3600)
         entries = []
-        for item in list(tx.carousel._queue):
+        for item in tx.carousel.queued_items():
             version = (
                 item.frames[0].header.col if item.frames else
                 self.generator.effective_epoch(item.url, hour)

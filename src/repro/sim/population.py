@@ -33,7 +33,12 @@ from repro.radio.lossmodel import FrameLossModel
 from repro.radio.propagation import PropagationModel
 from repro.sim.geometry import PopulationGeometry, RegionPartition
 from repro.util.parallel import WorkerPool, worker_count
-from repro.util.rng import counter_normals, counter_uniforms, derive_key
+from repro.util.rng import (
+    counter_normals,
+    counter_uniform_columns,
+    counter_uniforms,
+    derive_key,
+)
 
 __all__ = [
     "PopulationConfig",
@@ -251,17 +256,21 @@ def _simulate_chunk(
 
     # 4. Page-level outcomes: P(decoded by end of horizon) per page,
     # one Bernoulli draw per (receiver, page) at counter (i * P + j).
+    # Pages 0..extra-1 air one cycle more than the rest, so the decode
+    # probability takes one value per cycle count, not one per page.
     q_cycle = _page_success_probability(p_loss, config.frames_per_page)
     log_miss = np.log1p(-np.clip(q_cycle, 0.0, 1.0 - 1e-15))
     pages_decoded = np.zeros(n, dtype=np.int64)
     with np.errstate(over="ignore"):
         page_base = idx * np.uint64(config.pages)
-        for j in range(config.pages):
-            cycles = plan.base_cycles + (1 if j < plan.extra_pages else 0)
-            if cycles == 0:
-                continue
-            p_decoded = -np.expm1(cycles * log_miss)
-            u = counter_uniforms(plan.key_pages, page_base + np.uint64(j))
+    for cycles, pages in (
+        (plan.base_cycles + 1, range(plan.extra_pages)),
+        (plan.base_cycles, range(plan.extra_pages, config.pages)),
+    ):
+        if cycles == 0 or not pages:
+            continue
+        p_decoded = -np.expm1(cycles * log_miss)
+        for u in counter_uniform_columns(plan.key_pages, page_base, pages):
             pages_decoded += u < p_decoded
 
     # 5. Readability proxy: the user study's text question maps pixel

@@ -45,6 +45,8 @@ _CATEGORY_MEDIAN_BYTES = {
 }
 _SIGMA = 0.35  # log-normal spread across pages
 _EPOCH_JITTER = 0.08  # hour-to-hour size wobble of the same page
+#: Encoded size relative to Q10 per SWebp quality (the Fig. 4(b) sweep).
+_QUALITY_SCALE = {10: 1.0, 50: 1.8, 90: 3.4}
 #: Backlog sampling resolution of a Figure 4(c) run.
 SAMPLE_MINUTES = 6
 
@@ -53,11 +55,17 @@ class PageSizeModel:
     """Bytes-on-air of each (url, content epoch) pair."""
 
     def __init__(self, generator: SiteGenerator, quality: int = 10) -> None:
+        if quality not in _QUALITY_SCALE:
+            supported = ", ".join(str(q) for q in _QUALITY_SCALE)
+            raise ValueError(
+                f"no size scale for quality {quality}; supported: {supported}"
+            )
         self._gen = generator
         self.quality = quality
+        self._quality_scale = _QUALITY_SCALE[quality]
         self._measured: dict[str, int] = {}
-        # Quality scaling relative to Q10 (matches the Fig. 4(b) sweep).
-        self._quality_scale = {10: 1.0, 50: 1.8, 90: 3.4}.get(quality, 1.0)
+        # Modelled base size per URL: one draw each, bounded by the corpus.
+        self._modelled: dict[str, int] = {}
 
     def calibrate(self, measured: dict[str, int]) -> None:
         """Replace modelled base sizes with real encoder measurements."""
@@ -67,13 +75,16 @@ class PageSizeModel:
         """The page's typical encoded size."""
         if url in self._measured:
             return self._measured[url]
-        domain = url.partition("/")[0]
-        category = self._gen.website(domain).category
-        rng = derive_rng(self._gen.seed, "size", url)
-        size = _CATEGORY_MEDIAN_BYTES[category] * float(
-            rng.lognormal(mean=0.0, sigma=_SIGMA)
-        )
-        return int(size * self._quality_scale)
+        size = self._modelled.get(url)
+        if size is None:
+            domain = url.partition("/")[0]
+            category = self._gen.website(domain).category
+            rng = derive_rng(self._gen.seed, "size", url)
+            median = _CATEGORY_MEDIAN_BYTES[category] * float(
+                rng.lognormal(mean=0.0, sigma=_SIGMA)
+            )
+            size = self._modelled[url] = int(median * self._quality_scale)
+        return size
 
     def size_at(self, url: str, epoch: int) -> int:
         """Size of the page's render at a specific content epoch."""

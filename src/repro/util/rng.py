@@ -20,6 +20,7 @@ over numpy arrays of counters.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "derive_rng",
     "derive_key",
     "counter_uniforms",
+    "counter_uniform_columns",
     "counter_normals",
 ]
 
@@ -85,18 +87,64 @@ def counter_uniforms(key: int, counters: np.ndarray) -> np.ndarray:
     >>> bool(np.array_equal(all_at_once, chunked))
     True
     """
+    x = _splitmix64_states(key, counters)
+    return _splitmix64_uniforms(x, np.empty_like(x), np.empty(x.shape))
+
+
+def counter_uniform_columns(
+    key: int, counters: np.ndarray, columns: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """``counter_uniforms(key, counters + j)`` for each ``j`` of ``columns``.
+
+    The same values as one call per column, for less work: the state of
+    ``counters`` is formed once, and column ``j`` adds ``j * gamma`` to
+    it (uint64 arithmetic wraps the same either way).  Each yielded
+    array is overwritten by the next column, so use it before asking
+    for the next:
+
+    >>> key = derive_key(0, "demo")
+    >>> base = np.arange(4) * 3
+    >>> all(bool(np.array_equal(u, counter_uniforms(key, base + j)))
+    ...     for j, u in zip(range(3), counter_uniform_columns(key, base, range(3))))
+    True
+    """
+    base = _splitmix64_states(key, counters)
+    x, shifted, out = np.empty_like(base), np.empty_like(base), np.empty(base.shape)
+    for j in columns:
+        np.add(base, np.uint64(int(j) * int(_SM64_GAMMA) & _MASK64), out=x)
+        yield _splitmix64_uniforms(x, shifted, out)
+
+
+def _splitmix64_states(key: int, counters: np.ndarray) -> np.ndarray:
+    """A fresh array of splitmix64 states ``key + counter * gamma``.
+
+    The counter walks the generator's state sequence; the finalizer in
+    :func:`_splitmix64_uniforms` is its full-avalanche output hash.
+    """
     c = np.asarray(counters, dtype=np.uint64)
-    k = np.uint64(int(key) & _MASK64)
+    x = np.empty(c.shape, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        # splitmix64 evaluated at state = key + counter * gamma: the
-        # counter walks the generator's state sequence and the finalizer
-        # below is its full-avalanche output hash.
-        x = k + c * _SM64_GAMMA
-        x = (x ^ (x >> np.uint64(30))) * _SM64_MIX1
-        x = (x ^ (x >> np.uint64(27))) * _SM64_MIX2
-        x = x ^ (x >> np.uint64(31))
-    # Top 53 bits -> float64 mantissa, exactly like numpy's own doubles.
-    return (x >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        np.multiply(c, _SM64_GAMMA, out=x)
+        x += np.uint64(int(key) & _MASK64)
+    return x
+
+
+def _splitmix64_uniforms(
+    x: np.ndarray, shifted: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Hash the states ``x`` into ``out`` as [0, 1) uniforms.
+
+    Runs in place: ``x`` and the work array ``shifted`` are overwritten.
+    """
+    with np.errstate(over="ignore"):
+        for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2), (31, None)):
+            np.right_shift(x, np.uint64(shift), out=shifted)
+            x ^= shifted
+            if mix is not None:
+                x *= mix
+        # Top 53 bits -> float64 mantissa, exactly like numpy's own doubles.
+        x >>= np.uint64(11)
+    return np.multiply(x, 1.0 / (1 << 53), out=out)
 
 
 #: Acklam's rational approximation of the inverse normal CDF

@@ -11,5 +11,7 @@ the two on fresh inputs:
 * ``modems`` — the seed's per-symbol FSK, GMSK and AudioQR receivers;
 * ``streaming_dsp`` — per-block ``fftconvolve`` FIR, correlator and FM
   link;
-* ``acoustic`` — the whole-array acoustic channel.
+* ``acoustic`` — the whole-array acoustic channel;
+* ``carousel`` — the broadcast carousel that re-sorts its whole queue
+  on every enqueue (a class: it keeps its own queue).
 """

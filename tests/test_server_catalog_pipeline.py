@@ -7,6 +7,7 @@ contract end to end.
 """
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +142,23 @@ class TestPrefetch:
             pipeline.prefetch(pipeline.generator.all_urls(), hour=9)
             pipeline.drain_prefetch()
             assert pipeline.store.content_digest() == serial.store.content_digest()
+
+
+    def test_prefetch_drained_before_its_request_counts_as_used(self):
+        with _pipeline().start(2) as pipeline:
+            url = pipeline.generator.all_urls()[0]
+            assert pipeline.prefetch([url], hour=5) == 1
+            # The render lands in the store before any job asks for it.
+            deadline = time.monotonic() + 60.0
+            while pipeline.drain_prefetch() == 0:
+                assert time.monotonic() < deadline, "prefetch never finished"
+                time.sleep(0.01)
+            assert pipeline.encode_catalog([url], hour=5).pages[0].from_store
+            assert pipeline.prefetch_used == 1
+            # Only the first store hit counts.
+            pipeline.encode_catalog([url], hour=5)
+            assert pipeline.prefetch_used == 1
+            assert pipeline.prefetch_submitted == 1
 
 
 class TestContentDigest:

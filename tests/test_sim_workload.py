@@ -35,6 +35,22 @@ class TestSizeModel:
         model.calibrate({url: 123_456})
         assert model.base_size(url) == 123_456
 
+    def test_unsupported_quality_rejected(self):
+        # Q30 has no measured scale; it must not be priced as Q10.
+        with pytest.raises(ValueError, match="10, 50, 90"):
+            PageSizeModel(SiteGenerator(seed=1), quality=30)
+
+    def test_calibration_overrides_a_modelled_size_already_read(self):
+        gen = SiteGenerator(seed=1)
+        model = PageSizeModel(gen)
+        url = gen.all_urls()[0]
+        modelled = model.base_size(url)
+        model.calibrate({url: modelled + 1})
+        assert model.base_size(url) == modelled + 1
+        assert model.base_size(gen.all_urls()[1]) == PageSizeModel(gen).base_size(
+            gen.all_urls()[1]
+        )
+
     def test_sizes_in_paper_range(self):
         gen = SiteGenerator(seed=1)
         model = PageSizeModel(gen)

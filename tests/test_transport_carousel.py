@@ -1,10 +1,13 @@
 """Broadcast carousel: ordering, draining, ETAs, frame emission."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.server.scheduler import REQUEST_PRIORITY
 from repro.transport.bundle import BundleTransport
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
-from repro.transport.framing import FRAME_SIZE
+from repro.transport.framing import FRAME_SIZE, PAYLOAD_SIZE
+from tests.reference.carousel import BroadcastCarouselRef
 
 
 class TestQueue:
@@ -134,3 +137,103 @@ class TestFrameEmission:
         car.enqueue(CarouselItem("a.pk/", 1_000, frames=frames))
         list(car.emit_frames(len(frames) // 2))
         assert 0 < car.backlog_bytes() < 1_000
+
+    def test_queued_items_is_a_snapshot(self):
+        car = BroadcastCarousel(8_000)
+        car.enqueue(CarouselItem("a.pk/", 1_000, priority=1))
+        car.enqueue(CarouselItem("b.pk/", 1_000, priority=2))
+        snapshot = car.queued_items()
+        assert [item.url for item in snapshot] == ["b.pk/", "a.pk/"]
+        car.drain(1.0)
+        car.enqueue(CarouselItem("c.pk/", 1_000, priority=3))
+        assert [item.url for item in snapshot] == ["b.pk/", "a.pk/"]
+        assert [item.url for item in car.queued_items()] == ["c.pk/", "a.pk/"]
+
+
+# -- insertion order against the re-sorting reference ---------------------
+
+_URLS = [f"site{u}.pk/" for u in range(4)]
+_BUNDLES = BundleTransport()
+#: Frames of (url, version).  Both versions of an even URL have the same
+#: size, so a digest-less repeat must tell them apart by the frames'
+#: version field.
+_FRAMES = {
+    (u, v): _BUNDLES.chunk(bytes(PAYLOAD_SIZE * (1 + u + v * (u % 2))), u, v)
+    for u in range(len(_URLS))
+    for v in range(2)
+}
+
+_enqueue = st.tuples(
+    st.just("enqueue"),
+    st.integers(0, len(_URLS) - 1),  # URL
+    st.integers(0, 1),  # version
+    st.sampled_from([0.0, 1.0, REQUEST_PRIORITY]),
+    st.booleans(),  # carries a content digest
+)
+# Enqueues dominate, and most clock steps are zero, so equal keys and
+# repeats of a queued version are common.
+_step = st.one_of(
+    _enqueue,
+    _enqueue,
+    _enqueue,
+    st.tuples(st.just("drain"), st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5])),
+    st.tuples(st.just("emit"), st.integers(0, 5)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 2.0])),
+)
+
+
+def _item(u: int, v: int, priority: float, with_digest: bool) -> CarouselItem:
+    frames = _FRAMES[(u, v)]
+    return CarouselItem(
+        _URLS[u],
+        len(frames) * PAYLOAD_SIZE,
+        priority=priority,
+        frames=frames,
+        digest=f"{u}|{v}" if with_digest else None,
+    )
+
+
+def _state(item: CarouselItem) -> tuple:
+    return (
+        item.url, item.priority, item.enqueued_at, item.size_bytes,
+        item.sent_bytes, item.frames_sent, item.digest,
+    )
+
+
+class TestInsertionOrderMatchesResort:
+    """The insertion-ordered queue against the re-sorting reference.
+
+    Random runs of new URLs, repeats at a higher, equal or lower
+    priority, new versions, equal keys at one clock reading, drains,
+    frame emission and clock advances leave both carousels in the same
+    state after every step.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(_step, max_size=60))
+    def test_same_state_after_every_step(self, steps):
+        car = BroadcastCarousel(8_000)  # 1000 bytes/s
+        ref = BroadcastCarouselRef(8_000)
+        for step in steps:
+            kind = step[0]
+            if kind == "enqueue":
+                car.enqueue(_item(*step[1:]))
+                ref.enqueue(_item(*step[1:]))
+            elif kind == "drain":
+                assert car.drain(step[1]) == ref.drain(step[1])
+            elif kind == "emit":
+                assert list(car.emit_frames(step[1])) == list(ref.emit_frames(step[1]))
+            else:
+                car.advance_time(step[1])
+                ref.advance_time(step[1])
+
+            queued = car.queued_items()
+            assert [_state(q) for q in queued] == [_state(q) for q in ref._queue]
+            assert car.backlog_bytes() == ref.backlog_bytes()
+            assert car.total_sent_bytes == ref.total_sent_bytes
+            for url in _URLS:
+                assert car.eta_seconds(url) == ref.eta_seconds(url)
+            # The queue's own invariants: the backlog counter equals
+            # the queue's unsent bytes, and a URL is queued at most once.
+            assert car.backlog_bytes() == sum(q.remaining_bytes for q in queued)
+            assert len({q.url for q in queued}) == len(queued) == car.queue_length()
