@@ -377,10 +377,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 args.rssi_dbm, peak_estimate=float(np.max(np.abs(probe)))
             )
 
-    # An encoded sonic-ofdm burst is ~4 MB of float64, so the cache is
-    # sized in single digits of bursts: it only pays off when the
-    # carousel rebroadcasts identical content (gap-filling cycles), and
-    # 0 disables it for workloads that never repeat a burst.
+    # An encoded 16-frame sonic-ofdm burst is 1.03 MB of float64 (an
+    # audible-7k one 2.6 MB), so the cache is sized in single digits of
+    # bursts: it only pays off when the carousel rebroadcasts identical
+    # content (gap-filling cycles), and 0 disables it for workloads that
+    # never repeat a burst.
     cache = (
         BroadcastEncodeCache(capacity=args.cache_bursts)
         if args.cache_bursts > 0
@@ -635,6 +636,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"speculative renders used"
         )
         pipeline.close()
+    print(f"ledger digest: {frontend.ledger.digest()}")
     if args.ledger:
         print(f"ledger: {len(frontend.ledger):,} rows -> {args.ledger}")
     frontend.ledger.close()

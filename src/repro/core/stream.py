@@ -6,9 +6,9 @@ module is the transmit half (and the glue) of that dataflow:
 
 * :class:`WaveformSource` — pulls frame bursts from a supply on demand
   and emits fixed-size audio chunks, so a 48-hour broadcast never exists
-  as one array.  Repeat bursts (the carousel case) hit the burst-level
-  :class:`~repro.server.transmitters.BroadcastEncodeCache` and skip
-  FEC + OFDM entirely.
+  as one array.  Given a burst-level
+  :class:`~repro.server.transmitters.BroadcastEncodeCache` (``repro
+  stream --cache-bursts``), repeat bursts skip FEC + OFDM entirely.
 * :class:`CarouselFrameSource` — adapts a
   :class:`~repro.transport.carousel.BroadcastCarousel` into that burst
   supply, materialising frame payloads lazily (head item only) so a deep

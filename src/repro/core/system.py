@@ -159,12 +159,16 @@ class SonicSystem:
 
         Where :meth:`step` moves frames through the calibrated loss
         model, the returned :class:`~repro.core.stream.StreamSession`
-        actually modulates the queue through the station's burst cache,
-        runs the audio through ``channel`` (a ``process``/``finish``
-        stream from :mod:`repro.radio.streams`, or None for a clean
-        wire), demodulates it chunk by chunk, and feeds every covered
-        client via :meth:`SonicClient.on_received_frames` — all in
-        O(chunk) memory, driven by the audio clock.
+        actually modulates the queue one burst at a time, runs the audio
+        through ``channel`` (a ``process``/``finish`` stream from
+        :mod:`repro.radio.streams`, or None for a clean wire),
+        demodulates it chunk by chunk, and feeds every covered client
+        via :meth:`SonicClient.on_received_frames` — driven by the audio
+        clock, in O(chunk + burst) memory.  A sent burst is not kept:
+        the station's 64-entry encode cache would hold 64 MB of bursts
+        that a carousel cycle, far longer than 64 bursts, never reaches
+        again before eviction (``repro stream --cache-bursts`` sizes a
+        burst cache of its own for gap-filling repeats).
         """
         from repro.core.stream import (
             DEFAULT_CHUNK_SAMPLES,
@@ -189,7 +193,6 @@ class SonicSystem:
             CarouselFrameSource(tx.carousel, frames_per_burst=frames_per_burst),
             modem,
             chunk_samples=chunk_samples or DEFAULT_CHUNK_SAMPLES,
-            cache=tx.cache,
         )
         receiver = StreamingReceiver(modem, frames_per_burst=frames_per_burst)
         return StreamSession(

@@ -7,7 +7,9 @@ coding) and the same 0-95 quality scale the paper sweeps in Figure 4(b).
 Pipeline: RGB -> YCbCr -> 4:2:0 chroma subsampling -> 8x8 DCT ->
 quality-scaled quantisation -> zig-zag + run-length tokens -> per-plane
 canonical Huffman tables.  Both directions are vectorised: encoding
-lays out all tokens with cumulative offsets, and :meth:`SWebpCodec.decode`
+transforms the image in bands of whole macroblock rows (so its float
+working set scales with a band, not the image) and lays out each
+plane's tokens with cumulative offsets, and :meth:`SWebpCodec.decode`
 is a table-driven batch decoder that transcodes the bit stream through
 per-bit-position gather tables and reconstructs every block in single
 numpy/scipy calls.  The tests pin the decoder bit for bit to the seed's
@@ -128,18 +130,201 @@ def _scaled_table(base: np.ndarray, quality: int) -> np.ndarray:
     return np.clip(table, 1, 255)
 
 
-def _blockify(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Pad to 8x8 multiples (edge mode) and return (blocks, rows, cols)."""
+def _blockify(plane: np.ndarray) -> np.ndarray:
+    """Pad to 8x8 multiples (edge mode); the (n, 8, 8) blocks in raster order."""
     h, w = plane.shape
     ph, pw = (-h) % 8, (-w) % 8
     if ph or pw:
         plane = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
     hh, ww = plane.shape
     rows, cols = hh // 8, ww // 8
-    blocks = (
-        plane.reshape(rows, 8, cols, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+    return plane.reshape(rows, 8, cols, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+
+
+#: Pixels per encode band.  :meth:`SWebpCodec.encode` works through the
+#: image in bands of whole 16-row macroblock rows holding about this
+#: many pixels (240 rows at 1080 px, 720 at 360 px), so chroma bands
+#: stay on 8-row block boundaries.
+_BAND_PIXELS = 1 << 18
+
+
+def _band_rows(width: int) -> int:
+    """Image rows per encode band at ``width`` (a multiple of 16)."""
+    return max(1, _BAND_PIXELS // (16 * width)) * 16
+
+
+def _band_planes(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One band's float64 planes in stream order: Y, Cb, Cr (4:2:0), or
+    the grayscale plane."""
+    if rows.ndim == 2:
+        return (rows.astype(np.float64),)
+    yp, cb, cr = ycbcr_planes(rows)
+    return yp, downsample_420(cb), downsample_420(cr)
+
+
+def _band_coefficients(
+    plane: np.ndarray, qtable: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Quantised coefficients of one band of a plane.
+
+    Returns ``(dc, nz_b, nz_c, vals)``: every block's zig-zag DC, and the
+    band's nonzero AC coefficients as block index (within the band),
+    zig-zag position (1..63) and value, in raster then zig-zag order.
+    """
+    blocks = _blockify(plane - 128.0)
+    n_blocks = blocks.shape[0]
+    b64 = blocks.reshape(n_blocks, 64)
+
+    # Rendered pages are mostly flat (constant-colour) blocks, and a
+    # flat block's transform depends only on its value — so the DCT,
+    # quantisation, and zig-zag run on one representative per
+    # distinct flat value plus every non-flat block.  The per-block
+    # transform is independent of its batch, so each block's
+    # coefficients are bit-identical to the all-blocks path.
+    flat = (b64 == b64[:, :1]).all(axis=1)
+    f_ids = np.nonzero(flat)[0]
+    nf_ids = np.nonzero(~flat)[0]
+    uvals, f_inv = np.unique(b64[f_ids, 0], return_inverse=True)
+    nu = uvals.size
+    reps = np.concatenate(
+        [np.broadcast_to(uvals[:, None], (nu, 64)), b64[nf_ids]]
     )
-    return blocks, rows, cols
+    coeffs = sfft.dctn(reps.reshape(-1, 8, 8), axes=(1, 2), norm="ortho")
+    quant = np.round(coeffs / qtable).astype(np.int64)
+    zz_reps = quant.reshape(-1, 64)[:, _ZIGZAG]
+
+    dc = np.empty(n_blocks, dtype=np.int64)
+    dc[f_ids] = zz_reps[:nu, 0][f_inv]
+    dc[nf_ids] = zz_reps[nu:, 0]
+
+    if zz_reps[:nu, 1:].any():
+        # A flat block quantised to nonzero AC (possible only at
+        # extreme quality settings): fall back to the dense layout
+        # so its AC tokens are emitted like any other block's.
+        zz = np.empty((n_blocks, 64), dtype=np.int64)
+        zz[f_ids] = zz_reps[:nu][f_inv]
+        zz[nf_ids] = zz_reps[nu:]
+        ac = zz[:, 1:]
+        nz_b, nz_c = np.nonzero(ac)
+        vals = ac[nz_b, nz_c]
+    else:
+        # Flat blocks contribute no AC tokens: scan only the rest.
+        ac = zz_reps[nu:, 1:]
+        nzl, nz_c = np.nonzero(ac)
+        vals = ac[nzl, nz_c]
+        nz_b = nf_ids[nzl]
+    return dc, nz_b, nz_c, vals
+
+
+def _merge_bands(
+    bands: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One plane's band coefficients as one raster-order set: each
+    band's block indices are offset by the band's first block."""
+    dcs, nz_bs, nz_cs, vals = zip(*bands)
+    starts = np.cumsum([0] + [dc.size for dc in dcs[:-1]])
+    return (
+        np.concatenate(dcs),
+        np.concatenate([b + s for b, s in zip(nz_bs, starts)]),
+        np.concatenate(nz_cs),
+        np.concatenate(vals),
+    )
+
+
+def _encode_tokens(
+    dc: np.ndarray, nz_b: np.ndarray, nz_c: np.ndarray, vals: np.ndarray
+) -> bytes:
+    """Entropy-code one plane from its coefficients: DC differences,
+    run/ZRL/EOB tokens, two canonical Huffman tables from the whole
+    plane's frequencies, then the packed bit stream."""
+    n_blocks = dc.size
+
+    # --- DC tokens (differential) ---
+    dc_diff = np.concatenate([[dc[0]], np.diff(dc)])
+    dc_size = _BITLEN[np.minimum(np.abs(dc_diff), (1 << 15) - 1)]
+    dc_extra = np.where(dc_diff >= 0, dc_diff, dc_diff + (1 << dc_size) - 1)
+    dc_keys = np.arange(n_blocks, dtype=np.int64) * 66 * 100
+
+    # --- AC tokens ---
+    first_in_block = np.concatenate([[True], np.diff(nz_b) != 0])
+    prev_c = np.concatenate([[0], nz_c[:-1]])
+    runs = np.where(first_in_block, nz_c, nz_c - prev_c - 1)
+    zrl_count = runs // 16
+    run_rem = runs % 16
+    sizes = _BITLEN[np.minimum(np.abs(vals), (1 << 15) - 1)]
+    if np.any(np.abs(vals) >= (1 << 15)):
+        raise CodecError("coefficient magnitude exceeds 15-bit limit")
+    ac_syms = (run_rem.astype(np.int64) << 4) | sizes
+    ac_extra = np.where(vals >= 0, vals, vals + (1 << sizes) - 1)
+    ac_keys = (nz_b * 66 + 1 + nz_c) * 100
+
+    # ZRL emissions: zrl_count[i] tokens just before symbol i.
+    zrl_parent = np.repeat(np.arange(nz_b.size), zrl_count)
+    if zrl_parent.size:
+        # j-th ZRL of its parent gets a key just below the parent's.
+        cum = np.concatenate([[0], np.cumsum(zrl_count)[:-1]])
+        j = np.arange(zrl_parent.size) - cum[zrl_parent]
+        k = zrl_count[zrl_parent]
+        zrl_keys = ac_keys[zrl_parent] - (k - j)
+    else:
+        zrl_keys = np.zeros(0, dtype=np.int64)
+
+    # EOB per block whose last nonzero is before position 62 (or empty).
+    last_nz = np.full(n_blocks, -1, dtype=np.int64)
+    last_nz[nz_b] = nz_c  # nonzeros are in order; the last write wins
+    eob_blocks = np.nonzero(last_nz < 62)[0]
+    eob_keys = (eob_blocks * 66 + 65) * 100
+
+    # --- Huffman tables ---
+    dc_freq = np.bincount(dc_size, minlength=256)
+    ac_all_syms = np.concatenate(
+        [
+            ac_syms,
+            np.full(zrl_keys.size, _ZRL, dtype=np.int64),
+            np.full(eob_keys.size, _EOB, dtype=np.int64),
+        ]
+    )
+    ac_freq = np.bincount(ac_all_syms, minlength=256)
+    dc_table = CanonicalHuffman(build_code_lengths(dc_freq))
+    ac_table = CanonicalHuffman(build_code_lengths(ac_freq))
+
+    # --- Emissions: (key, code value, code length, extra, extra length) ---
+    keys = np.concatenate([dc_keys, ac_keys, zrl_keys, eob_keys])
+    code_vals = np.concatenate(
+        [
+            dc_table.codes[dc_size],
+            ac_table.codes[ac_syms],
+            np.full(zrl_keys.size, int(ac_table.codes[_ZRL]), dtype=np.int64),
+            np.full(eob_keys.size, int(ac_table.codes[_EOB]), dtype=np.int64),
+        ]
+    ).astype(np.int64)
+    code_lens = np.concatenate(
+        [
+            dc_table.lengths[dc_size],
+            ac_table.lengths[ac_syms],
+            np.full(zrl_keys.size, int(ac_table.lengths[_ZRL]), dtype=np.int64),
+            np.full(eob_keys.size, int(ac_table.lengths[_EOB]), dtype=np.int64),
+        ]
+    ).astype(np.int64)
+    extras = np.concatenate(
+        [dc_extra, ac_extra, np.zeros(zrl_keys.size + eob_keys.size, dtype=np.int64)]
+    )
+    extra_lens = np.concatenate(
+        [dc_size, sizes, np.zeros(zrl_keys.size + eob_keys.size, dtype=np.int64)]
+    )
+
+    order = np.argsort(keys, kind="stable")
+    inter_vals = np.stack([code_vals[order], extras[order]], axis=1).reshape(-1)
+    inter_lens = np.stack([code_lens[order], extra_lens[order]], axis=1).reshape(-1)
+    payload = pack_fields(inter_vals, inter_lens)
+    total_bits = int(np.sum(inter_lens))
+
+    out = bytearray()
+    out += dc_table.serialize()
+    out += ac_table.serialize()
+    out += total_bits.to_bytes(4, "big")
+    out += payload
+    return bytes(out)
 
 
 class SWebpCodec:
@@ -183,155 +368,30 @@ class SWebpCodec:
         header += w.to_bytes(2, "big") + h.to_bytes(2, "big")
         header.append(self.quality)
 
-        if color:
-            yp, cb, cr = ycbcr_planes(image)
-            planes = [
-                (yp, self._qy),
-                (downsample_420(cb), self._qc),
-                (downsample_420(cr), self._qc),
-            ]
-        else:
-            planes = [(image.astype(np.float64), self._qy)]
+        # Convert, subsample and transform one band of whole macroblock
+        # rows at a time, so the float temporaries scale with a band, not
+        # the image; the token stage then runs once per plane over the
+        # merged coefficients.  A block's coefficients do not depend on
+        # the batch it is transformed in, and raster block order is band
+        # order, so the bytes are those of one whole-image pass
+        # (``tests/reference/swebp.py::swebp_encode_ref``).
+        qtables = (self._qy, self._qc, self._qc) if color else (self._qy,)
+        bands: list[list[tuple]] = [[] for _ in qtables]
+        step = _band_rows(w)
+        for r0 in range(0, h, step):
+            planes = _band_planes(image[r0 : r0 + step])
+            for plane_bands, plane, qtable in zip(bands, planes, qtables):
+                plane_bands.append(_band_coefficients(plane, qtable))
+            del planes, plane  # free this band before converting the next
 
         body = bytearray()
-        for plane, qtable in planes:
-            body += self._encode_plane(plane, qtable)
+        for plane_bands in bands:
+            body += _encode_tokens(*_merge_bands(plane_bands))
         return bytes(header) + bytes(body)
 
     def encoded_size(self, image: np.ndarray) -> int:
         """Size in bytes of :meth:`encode`'s output for this image."""
         return len(self.encode(image))
-
-    def _encode_plane(self, plane: np.ndarray, qtable: np.ndarray) -> bytes:
-        blocks, rows, cols = _blockify(plane - 128.0)
-        n_blocks = blocks.shape[0]
-        b64 = blocks.reshape(n_blocks, 64)
-
-        # Rendered pages are mostly flat (constant-colour) blocks, and a
-        # flat block's transform depends only on its value — so the DCT,
-        # quantisation, and zig-zag run on one representative per
-        # distinct flat value plus every non-flat block.  The per-block
-        # transform is independent of its batch, so each block's
-        # coefficients are bit-identical to the all-blocks path.
-        flat = (b64 == b64[:, :1]).all(axis=1)
-        f_ids = np.nonzero(flat)[0]
-        nf_ids = np.nonzero(~flat)[0]
-        uvals, f_inv = np.unique(b64[f_ids, 0], return_inverse=True)
-        nu = uvals.size
-        reps = np.concatenate(
-            [np.broadcast_to(uvals[:, None], (nu, 64)), b64[nf_ids]]
-        )
-        coeffs = sfft.dctn(reps.reshape(-1, 8, 8), axes=(1, 2), norm="ortho")
-        quant = np.round(coeffs / qtable).astype(np.int64)
-        zz_reps = quant.reshape(-1, 64)[:, _ZIGZAG]
-
-        dc = np.empty(n_blocks, dtype=np.int64)
-        dc[f_ids] = zz_reps[:nu, 0][f_inv]
-        dc[nf_ids] = zz_reps[nu:, 0]
-
-        if zz_reps[:nu, 1:].any():
-            # A flat block quantised to nonzero AC (possible only at
-            # extreme quality settings): fall back to the dense layout
-            # so its AC tokens are emitted like any other block's.
-            zz = np.empty((n_blocks, 64), dtype=np.int64)
-            zz[f_ids] = zz_reps[:nu][f_inv]
-            zz[nf_ids] = zz_reps[nu:]
-            ac = zz[:, 1:]
-            nz_b, nz_c = np.nonzero(ac)
-            vals = ac[nz_b, nz_c]
-        else:
-            # Flat blocks contribute no AC tokens: scan only the rest.
-            ac = zz_reps[nu:, 1:]
-            nzl, nz_c = np.nonzero(ac)
-            vals = ac[nzl, nz_c]
-            nz_b = nf_ids[nzl]
-
-        # --- DC tokens (differential) ---
-        dc_diff = np.concatenate([[dc[0]], np.diff(dc)])
-        dc_size = _BITLEN[np.minimum(np.abs(dc_diff), (1 << 15) - 1)]
-        dc_extra = np.where(dc_diff >= 0, dc_diff, dc_diff + (1 << dc_size) - 1)
-        dc_keys = np.arange(n_blocks, dtype=np.int64) * 66 * 100
-
-        # --- AC tokens ---
-        first_in_block = np.concatenate([[True], np.diff(nz_b) != 0])
-        prev_c = np.concatenate([[0], nz_c[:-1]])
-        runs = np.where(first_in_block, nz_c, nz_c - prev_c - 1)
-        zrl_count = runs // 16
-        run_rem = runs % 16
-        sizes = _BITLEN[np.minimum(np.abs(vals), (1 << 15) - 1)]
-        if np.any(np.abs(vals) >= (1 << 15)):
-            raise CodecError("coefficient magnitude exceeds 15-bit limit")
-        ac_syms = (run_rem.astype(np.int64) << 4) | sizes
-        ac_extra = np.where(vals >= 0, vals, vals + (1 << sizes) - 1)
-        ac_keys = (nz_b * 66 + 1 + nz_c) * 100
-
-        # ZRL emissions: zrl_count[i] tokens just before symbol i.
-        zrl_parent = np.repeat(np.arange(nz_b.size), zrl_count)
-        if zrl_parent.size:
-            # j-th ZRL of its parent gets a key just below the parent's.
-            cum = np.concatenate([[0], np.cumsum(zrl_count)[:-1]])
-            j = np.arange(zrl_parent.size) - cum[zrl_parent]
-            k = zrl_count[zrl_parent]
-            zrl_keys = ac_keys[zrl_parent] - (k - j)
-        else:
-            zrl_keys = np.zeros(0, dtype=np.int64)
-
-        # EOB per block whose last nonzero is before position 62 (or empty).
-        last_nz = np.full(n_blocks, -1, dtype=np.int64)
-        last_nz[nz_b] = nz_c  # nonzeros are in order; the last write wins
-        eob_blocks = np.nonzero(last_nz < 62)[0]
-        eob_keys = (eob_blocks * 66 + 65) * 100
-
-        # --- Huffman tables ---
-        dc_freq = np.bincount(dc_size, minlength=256)
-        ac_all_syms = np.concatenate(
-            [
-                ac_syms,
-                np.full(zrl_keys.size, _ZRL, dtype=np.int64),
-                np.full(eob_keys.size, _EOB, dtype=np.int64),
-            ]
-        )
-        ac_freq = np.bincount(ac_all_syms, minlength=256)
-        dc_table = CanonicalHuffman(build_code_lengths(dc_freq))
-        ac_table = CanonicalHuffman(build_code_lengths(ac_freq))
-
-        # --- Emissions: (key, code value, code length, extra, extra length) ---
-        keys = np.concatenate([dc_keys, ac_keys, zrl_keys, eob_keys])
-        code_vals = np.concatenate(
-            [
-                dc_table.codes[dc_size],
-                ac_table.codes[ac_syms],
-                np.full(zrl_keys.size, int(ac_table.codes[_ZRL]), dtype=np.int64),
-                np.full(eob_keys.size, int(ac_table.codes[_EOB]), dtype=np.int64),
-            ]
-        ).astype(np.int64)
-        code_lens = np.concatenate(
-            [
-                dc_table.lengths[dc_size],
-                ac_table.lengths[ac_syms],
-                np.full(zrl_keys.size, int(ac_table.lengths[_ZRL]), dtype=np.int64),
-                np.full(eob_keys.size, int(ac_table.lengths[_EOB]), dtype=np.int64),
-            ]
-        ).astype(np.int64)
-        extras = np.concatenate(
-            [dc_extra, ac_extra, np.zeros(zrl_keys.size + eob_keys.size, dtype=np.int64)]
-        )
-        extra_lens = np.concatenate(
-            [dc_size, sizes, np.zeros(zrl_keys.size + eob_keys.size, dtype=np.int64)]
-        )
-
-        order = np.argsort(keys, kind="stable")
-        inter_vals = np.stack([code_vals[order], extras[order]], axis=1).reshape(-1)
-        inter_lens = np.stack([code_lens[order], extra_lens[order]], axis=1).reshape(-1)
-        payload = pack_fields(inter_vals, inter_lens)
-        total_bits = int(np.sum(inter_lens))
-
-        out = bytearray()
-        out += dc_table.serialize()
-        out += ac_table.serialize()
-        out += total_bits.to_bytes(4, "big")
-        out += payload
-        return bytes(out)
 
     # -- decoding ------------------------------------------------------------
 

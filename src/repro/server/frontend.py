@@ -338,7 +338,10 @@ class RequestFrontend:
         self._url_to_index = {u: i for i, u in enumerate(resolver.urls)}
         self._active: dict[int, int] = {}  # url_index -> queued epoch
         self._waiting: dict[int, list[np.ndarray]] = {}  # url_index -> req ids
-        self._deferred: deque[tuple[int, int]] = deque()  # (req_id, url_index)
+        # Parked requests per URL, oldest first, as (park seq, req_id).
+        self._deferred: dict[int, deque[tuple[int, int]]] = {}
+        self._n_deferred = 0  # parked requests over every URL
+        self._park_seq = 0
         self._tick = 0  # completed tick boundaries; sim now = _tick * tick_s
         self._prefetched_hour = -1  # last hour handed to prefetch_hour
 
@@ -363,7 +366,7 @@ class RequestFrontend:
             t = self._tick * cfg.tick_s
             for url in finished:
                 self._complete(url, t)
-            if self._deferred:
+            if self._n_deferred:
                 self._retry_deferred(t)
             # While hour h broadcasts, idle workers pre-render the pages
             # whose epoch rolls over at h+1 — store warming only, so
@@ -392,54 +395,70 @@ class RequestFrontend:
     def _retry_deferred(self, t: float) -> None:
         """FIFO retry of parked requests; stops at the first still-blocked.
 
-        All distinct parked URLs not already on air resolve in ONE
-        ``resolve_batch`` up front (sizes and epochs are pure in
-        (url, hour), so resolving ahead of the walk — even past the
-        point where it blocks — cannot change any outcome).  The walk
-        then replays the seed one-at-a-time decision sequence exactly.
+        A tick visits each parked URL once, in the order of its oldest
+        parked request: the order in which a request-by-request walk,
+        oldest first, meets the URLs.  All parked URLs not already on
+        air resolve in ONE ``resolve_batch`` up front (sizes and epochs
+        are pure in (url, hour), so resolving ahead of the walk — even
+        past the point where it blocks — cannot change any outcome).  A
+        URL on air at its epoch takes its parked requests as they are;
+        any other is enqueued, unless it is new and the backlog cannot
+        take it.  There the walk stops, and only the requests parked
+        before that URL's oldest one are retried: exactly the prefix the
+        request-by-request walk retries.
         """
         cfg = self.config
         hour = int(t // 3600)
         resolver = self.resolver
         active = self._active
-        deferred = self._deferred
-        need: list[int] = []
-        seen: set[int] = set()
-        for _, index in deferred:
-            if index not in seen:
-                seen.add(index)
-                if active.get(index) != resolver.epoch(index, hour):
-                    need.append(index)
+        parked = self._deferred
+        order = sorted(parked, key=lambda u: parked[u][0][0])
+        epochs = [resolver.epoch(u, hour) for u in order]
+        need = [u for u, epoch in zip(order, epochs) if active.get(u) != epoch]
         resolved: dict[int, tuple[int, int]] = {}
         if need:
             for u, (size, epoch, _) in zip(need, resolver.resolve_batch(need, hour)):
                 resolved[u] = (size, epoch)
-        while deferred:
-            req_id, index = deferred[0]
-            epoch = resolver.epoch(index, hour)
-            if active.get(index) == epoch:
-                self._attach(index, np.array([req_id], dtype=np.int64))
-                self.stats.coalesced -= 1  # attach() counts; retries aren't new
-            else:
-                size, epoch = resolved[index]
+        stop = math.inf  # park seq of the oldest request still blocked
+        walked: list[int] = []
+        for u, epoch in zip(order, epochs):
+            if active.get(u) != epoch:
+                size, epoch = resolved[u]
                 if (
-                    index not in active
-                    and self.carousel.backlog_bytes() + size
-                    > cfg.max_backlog_bytes
+                    u not in active
+                    and self.carousel.backlog_bytes() + size > cfg.max_backlog_bytes
                 ):
+                    stop = parked[u][0][0]
                     break
-                self._enqueue_page(index, epoch, size)
-                self._attach(index, np.array([req_id], dtype=np.int64))
-                self.stats.coalesced -= 1
-            deferred.popleft()
-            self.ledger.mark_scheduled(np.array([req_id]), t)
-            self.stats.retried += 1
+                self._enqueue_page(u, epoch, size)
+            walked.append(u)
+        if not walked:
+            return
+        retried: list[np.ndarray] = []
+        for u in walked:
+            fifo = parked[u]
+            rids = []
+            while fifo and fifo[0][0] < stop:
+                rids.append(fifo.popleft()[1])
+            if not fifo:
+                del parked[u]
+            retried.append(np.array(rids, dtype=np.int64))
+            self._waiting.setdefault(u, []).append(retried[-1])
+        ids = np.concatenate(retried)
+        self.ledger.mark_scheduled(ids, t)
+        self._n_deferred -= ids.size
+        self.stats.retried += int(ids.size)
+
+    def _park(self, req_id: int, index: int) -> None:
+        """Park a request behind backpressure, after every parked one."""
+        self._park_seq += 1
+        self._n_deferred += 1
+        fifo = self._deferred.get(index)
+        if fifo is None:
+            fifo = self._deferred[index] = deque()
+        fifo.append((self._park_seq, req_id))
 
     # -- dispatch ------------------------------------------------------------
-
-    def _attach(self, index: int, ids: np.ndarray) -> None:
-        self._waiting.setdefault(index, []).append(ids)
-        self.stats.coalesced += int(ids.size)
 
     def _enqueue_page(self, index: int, epoch: int, size: int) -> None:
         replacing = index in self._active
@@ -511,7 +530,6 @@ class RequestFrontend:
         d_ts: dict[int, list] = {}
         s_ids: dict[int, list] = {}
         s_ts: dict[int, list] = {}
-        deferred = self._deferred
         backlog_limit = cfg.max_backlog_bytes
         defer_capacity = cfg.defer_capacity
         backlog_bytes = self.carousel.backlog_bytes
@@ -532,11 +550,11 @@ class RequestFrontend:
                 self._enqueue_page(u, info[1], info[0])
                 q_ids.setdefault(u, []).append(rid)
                 q_ts.setdefault(u, []).append(ts)
-            elif len(deferred) < defer_capacity:
-                deferred.append((rid, u))
+            elif self._n_deferred < defer_capacity:
+                self._park(rid, u)
                 stats.deferred += 1
-                if len(deferred) > stats.peak_deferred:
-                    stats.peak_deferred = len(deferred)
+                if self._n_deferred > stats.peak_deferred:
+                    stats.peak_deferred = self._n_deferred
                 d_ids.setdefault(u, []).append(rid)
                 d_ts.setdefault(u, []).append(ts)
             else:
@@ -640,7 +658,7 @@ class RequestFrontend:
             (trace.duration_s + cfg.drain_grace_hours * 3600.0) / cfg.tick_s
         )
         while (
-            self.carousel.queue_length() or self._deferred
+            self.carousel.queue_length() or self._n_deferred
         ) and self._tick < horizon:
             self.advance_to_tick(self._tick + 1)
         self.ledger.commit()
@@ -681,7 +699,7 @@ class RequestFrontend:
             "submitted": s.submitted,
             "queue_depth_pages": self.carousel.queue_length(),
             "backlog_mb": self.carousel.backlog_bytes() / 1e6,
-            "deferred": len(self._deferred),
+            "deferred": self._n_deferred,
             "mean_batch": s.mean_batch_size,
             "coalesce_ratio": s.coalesce_ratio,
             "shed": s.shed,

@@ -222,11 +222,12 @@ class RequestLedger:
     def latencies(self) -> np.ndarray:
         """Request→broadcast latency (seconds) of every served request."""
         self.flush()
-        rows = self._conn.execute(
+        cursor = self._conn.execute(
             "SELECT broadcast_at - submitted_at FROM requests"
             " WHERE status = 'broadcast'"
-        ).fetchall()
-        return np.array([r[0] for r in rows], dtype=np.float64)
+        )
+        # Stream the rows into the array: no tuple per served request.
+        return np.fromiter((r[0] for r in cursor), dtype=np.float64)
 
     def stats(self) -> LedgerStats:
         return LedgerStats(self.counts(), self.latencies())

@@ -9,10 +9,13 @@ are routed to the transmitter whose coverage disc contains the user.
 
 The carousel rebroadcasts popular pages hour after hour, and most hours
 the page has not changed — so each transmitter also owns a
-:class:`BroadcastEncodeCache`, an LRU keyed on the payload digest (plus
-modem profile and FEC parameters for the burst level) that lets a
-repeat broadcast of unchanged content reuse the chunked frames and the
-modulated bursts instead of re-encoding them.
+:class:`BroadcastEncodeCache`, an LRU keyed on the payload digest that
+lets a repeat broadcast of unchanged content reuse the chunked frames
+instead of re-chunking them.  The same class caches modulated bursts
+(keyed also on modem profile and FEC parameters) where a caller sizes
+one for that: ``repro stream --cache-bursts``.  The station's own cache
+holds frames only; ``SonicSystem.open_stream`` modulates each burst
+afresh and keeps none it has sent.
 """
 
 from __future__ import annotations
@@ -111,11 +114,13 @@ class BroadcastEncodeCache:
     def burst(self, payloads: list[bytes], modem: "Modem") -> np.ndarray:
         """Modulated audio for one frame burst — the streaming TX unit.
 
-        The carousel rebroadcasts the same pages for hours, so the
-        streaming :class:`~repro.core.stream.WaveformSource` sees the
-        same payload bursts over and over; caching at burst granularity
-        lets repeats skip FEC + OFDM without ever materialising the
-        whole broadcast waveform.
+        When the carousel repeats a burst within a few bursts (the
+        gap-filling cycles ``repro stream --cache-bursts`` serves), the
+        streaming :class:`~repro.core.stream.WaveformSource` can skip
+        FEC + OFDM for the repeat without ever materialising the whole
+        broadcast waveform.  Each entry is a whole burst of float64
+        (1.03 MB for 16 sonic-ofdm frames), so size the cache in bursts
+        the repeats actually span.
         """
         digest = payload_digest(b"".join(payloads))
         profile = modem.profile

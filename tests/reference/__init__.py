@@ -7,7 +7,8 @@ the two on fresh inputs:
 
 * ``fec`` — the seed's scalar Reed-Solomon codec and Viterbi decoder,
   and the ``np.convolve`` convolutional encoder;
-* ``swebp`` — the seed's sequential SWebp token walk;
+* ``swebp`` — the whole-image SWebp encoder and the seed's sequential
+  token walk;
 * ``modems`` — the seed's per-symbol FSK, GMSK and AudioQR receivers;
 * ``streaming_dsp`` — per-block ``fftconvolve`` FIR, correlator and FM
   link;

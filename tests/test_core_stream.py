@@ -379,3 +379,41 @@ class TestSonicSystemStream:
         stats = session.run(max_chunks=300)
         assert stats.frames_decoded > 0
         assert stats.frames_ok == stats.frames_decoded
+
+    def test_open_stream_keeps_no_sent_burst(self):
+        """The audio-true stream holds O(chunk + burst), not O(broadcast).
+
+        Over a dozen bursts, the station's encode cache gets no burst
+        entry, and what :meth:`Modem.transmit_burst` allocated and is
+        still alive after the run is at most one burst: the source's
+        partly read head, plus its array header.
+        """
+        import inspect
+        import tracemalloc
+
+        from repro.core.config import SystemConfig
+        from repro.core.system import SonicSystem
+
+        lines, first = inspect.getsourcelines(Modem.transmit_burst)
+        where = inspect.getsourcefile(Modem.transmit_burst)
+        span = range(first, first + len(lines))
+
+        system = SonicSystem(SystemConfig(n_sites=2))
+        tx = system.registry.get("lahore-93.7")
+        session = system.open_stream(chunk_samples=9600)
+        tracemalloc.start(1)
+        try:
+            session.run(max_chunks=150)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            trace.size
+            for trace in snapshot.traces
+            if any(f.filename == where and f.lineno in span for f in trace.traceback)
+        )
+        one_burst = Modem().burst_samples(16) * 8
+        assert session.source.bursts_encoded >= 10
+        assert not any(key[0] == "burst" for key in tx.cache._entries)
+        assert tx.cache.stats.burst_misses == 0
+        assert 0 < held <= one_burst + 1024, (held, one_burst)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.server.frontend import (
     FrontendConfig,
@@ -11,6 +12,7 @@ from repro.server.frontend import (
 from repro.server.ledger import RequestLedger
 from repro.sim.workload import RequestTraceConfig, RequestTrace, generate_requests
 from repro.web.sites import SiteGenerator
+from tests.reference.frontend import RescanFrontend
 
 
 def _resolver(max_page_bytes=12 * 1024, seed=7):
@@ -169,6 +171,53 @@ class TestBackpressure:
         for key in ("sim_hours", "submitted", "backlog_mb", "coalesce_ratio"):
             assert key in health
         assert health["submitted"] == 500
+
+
+class TestRetryMatchesRescan:
+    """Parked requests kept per URL retry exactly like one FIFO walked
+    request by request (``tests/reference/frontend.py``)."""
+
+    @staticmethod
+    def _outcomes(cls, trace, config, serial, max_page_kb):
+        fe = cls(_resolver(max_page_bytes=max_page_kb * 1024), config)
+        result = fe.run(trace, serial=serial)
+        return (
+            fe.ledger.digest(),
+            result.stats,
+            result.store_hits,
+            result.store_misses,
+            fe.health(),
+        )
+
+    def test_sms_flood_like_day(self):
+        trace = _trace(n_requests=6_000, hours=1.5)
+        config = FrontendConfig(max_backlog_bytes=200_000, defer_capacity=2_000)
+        fast = self._outcomes(RequestFrontend, trace, config, False, 60)
+        assert fast[1].retried > 500 and fast[1].shed > 0
+        assert fast == self._outcomes(RescanFrontend, trace, config, False, 60)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        backlog_pages=st.integers(min_value=1, max_value=8),
+        defer_capacity=st.integers(min_value=1, max_value=600),
+        max_batch=st.sampled_from([1, 5, 64, 8192]),
+        serial=st.booleans(),
+        max_page_kb=st.sampled_from([12, 30, 60]),
+        hours=st.sampled_from([0.5, 1.5]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_backpressure_configs(
+        self, backlog_pages, defer_capacity, max_batch, serial, max_page_kb, hours, seed
+    ):
+        trace = _trace(n_requests=1_500, hours=hours, seed=seed)
+        config = FrontendConfig(
+            max_backlog_bytes=backlog_pages * max_page_kb * 1024 + 512,
+            defer_capacity=defer_capacity,
+            max_batch=max_batch,
+        )
+        assert self._outcomes(
+            RequestFrontend, trace, config, serial, max_page_kb
+        ) == self._outcomes(RescanFrontend, trace, config, serial, max_page_kb)
 
 
 class TestLedgerIntegration:

@@ -53,6 +53,32 @@ class TestLedgerBasics:
         b.insert([0], 1, [0.0], 1.0, 1.0, "queued")
         assert a.digest() == b.digest()
 
+    def test_latencies_stream_the_row_values(self):
+        """``latencies`` streams the cursor into the array; the values,
+        order and dtype are those of building it from ``fetchall``."""
+        rng = np.random.default_rng(3)
+        led = RequestLedger()
+        assert led.latencies().dtype == np.float64
+        assert led.latencies().shape == (0,)
+        n = 5_000
+        submitted = np.sort(rng.uniform(0.0, 3_600.0, n))
+        for start in range(0, n, 500):
+            ids = np.arange(start, start + 500)
+            led.insert(ids, start // 500, submitted[ids], 1.0, None, "deferred")
+        served = rng.permutation(n)[: n // 2]
+        led.mark_scheduled(served, 4_000.0)
+        led.commit()
+        led.mark_broadcast(served[: n // 4], 4_000.1)
+        led.mark_broadcast(served[n // 4 :], 7_333.3)
+        got = led.latencies()  # flushes the pending updates
+        rows = led._conn.execute(
+            "SELECT broadcast_at - submitted_at FROM requests"
+            " WHERE status = 'broadcast'"
+        ).fetchall()
+        expected = np.array([r[0] for r in rows], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n // 2,)
+        assert got.tobytes() == expected.tobytes()
+
     def test_stats_empty(self):
         stats = RequestLedger().stats()
         assert stats.n_requests == 0
