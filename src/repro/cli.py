@@ -538,6 +538,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sim.workload import RequestTraceConfig, generate_requests
     from repro.web.sites import SiteGenerator
 
+    ledger = RequestLedger(args.ledger) if args.ledger else None
+    if ledger is not None and len(ledger):
+        # A day's request ids restart at 0: they would collide with the
+        # rows of the day already in the file.
+        print(f"error: ledger {args.ledger} already holds {len(ledger):,} rows; "
+              "serve into a new path", file=sys.stderr)
+        ledger.close()
+        return 1
+
     pipeline = None
     if args.resolver == "catalog":
         from repro.server.cache import BundleStore
@@ -586,7 +595,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_backlog_bytes=args.max_backlog_kb * 1024,
             defer_capacity=args.defer_capacity,
         ),
-        ledger=RequestLedger(args.ledger) if args.ledger else None,
+        ledger=ledger,
     )
 
     def progress(f: RequestFrontend) -> None:
@@ -1002,8 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-height", type=int, default=1_200,
                    help="crop rendered pages to this height (catalog resolver)")
     p.add_argument("--ledger", default=None,
-                   help="sqlite path for the persistent request ledger "
-                        "(default: in-memory)")
+                   help="new sqlite path to journal the request ledger to "
+                        "(default: in-memory only)")
     p.add_argument("--serial", action="store_true",
                    help="one-request-at-a-time reference mode")
     p.add_argument("--progress-every", type=int, default=2000,

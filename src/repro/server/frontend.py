@@ -6,9 +6,9 @@ into a request-serving *service*: the vectorised request generator's
 trace is cut into per-tick cohorts, a dispatcher coalesces identical
 page requests and batches dispatch into the store-backed resolvers
 (submitting renders up to :data:`LOOKAHEAD` cohorts ahead when the
-resolver renders pages), a persistent sqlite ledger records every
-request's life cycle, and backpressure is explicit when the carousel
-saturates.
+resolver renders pages), the request ledger records every request's
+life cycle (journalled to sqlite when opened on a file), and
+backpressure is explicit when the carousel saturates.
 
 The dataflow::
 

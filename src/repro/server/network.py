@@ -200,7 +200,7 @@ class _SimCore:
 
     Everything a worker process needs travels inside: the carousel (no
     frame payloads, so items pickle small), the profile selector, and
-    the bookkeeping.  The sqlite ledger stays in the parent — workers
+    the bookkeeping.  The request ledger stays in the parent — workers
     return ledger-event *ops* the parent applies in canonical station
     order, which is what makes every worker count bit-identical.
     """

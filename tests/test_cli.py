@@ -2,11 +2,16 @@
 
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.dsp.wav import read_wav, write_wav
 from repro.imaging.pnm import read_pnm, write_ppm
@@ -179,6 +184,24 @@ class TestCli:
         reopened = RequestLedger(ledger)
         assert sum(reopened.reconcile().values()) == 3000
         reopened.close()
+
+    def test_serve_refuses_a_ledger_that_holds_rows(self, tmp_path, capsys):
+        ledger = tmp_path / "requests.sqlite"
+        args = ["serve", "--hours", "0.5", "--requests", "2000", "--pages", "20",
+                "--max-page-kb", "12", "--ledger", str(ledger)]
+        assert main(args) == 0
+        capsys.readouterr()
+        # The second day runs as a user runs it, so a traceback would show.
+        src = Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "repro", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert str(ledger) in line and "2,000 rows" in line
 
     def test_network_sharded_verify_json(self, tmp_path, capsys):
         report = tmp_path / "stations.json"
