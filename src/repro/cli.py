@@ -558,7 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 n_sites=args.sites,
                 width=args.width,
                 max_height=args.max_height,
-                quality=10,
             ),
             store=BundleStore(directory=args.store) if args.store else None,
         )
@@ -711,9 +710,11 @@ def _cmd_network(args: argparse.Namespace) -> int:
             f"determinism: {processes} process(es) == {other} process(es) "
             f"(digest match)"
         )
+    coverage = []
     if args.coverage:
+        coverage = network_coverage(config, args.coverage, result=result)
         print(f"\nper-station coverage ({args.coverage:,} Tier-2 listeners):")
-        for cov in network_coverage(config, args.coverage, result=result):
+        for cov in coverage:
             print(
                 f"  {cov.station:<12} {cov.n_receivers:>7,} listeners  "
                 f"loss {100 * cov.mean_loss_rate:5.1f}%  "
@@ -723,10 +724,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
     if args.json:
         payload = result.to_json_dict()
         if args.coverage:
-            payload["coverage"] = [
-                cov.to_json_dict()
-                for cov in network_coverage(config, args.coverage, result=result)
-            ]
+            payload["coverage"] = [cov.to_json_dict() for cov in coverage]
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nreports -> {args.json}")
     return 0

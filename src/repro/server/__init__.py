@@ -36,7 +36,6 @@ from repro.server.scheduler import (
     DemandConfig,
     DemandScheduler,
     PopularityScheduler,
-    SchedulerConfig,
     schedule_digest,
 )
 from repro.server.server import SonicServer, ServerConfig
@@ -59,7 +58,6 @@ __all__ = [
     "DemandConfig",
     "DemandScheduler",
     "PopularityScheduler",
-    "SchedulerConfig",
     "schedule_digest",
     "BroadcastNetwork",
     "NetworkConfig",

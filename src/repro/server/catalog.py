@@ -25,7 +25,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.server.cache import BundleStore, bundle_key
-from repro.transport.bundle import PageBundle
+from repro.transport.bundle import BROADCAST_QUALITY, PageBundle
 from repro.util.parallel import WorkerPool, worker_count
 from repro.web.render import PageRenderer
 from repro.web.sites import SiteGenerator
@@ -47,7 +47,7 @@ class CatalogConfig:
     n_sites: int = 25
     width: int = 1080
     max_height: int | None = 10_000
-    quality: int = 10
+    quality: int = BROADCAST_QUALITY
 
 
 @dataclass(frozen=True)

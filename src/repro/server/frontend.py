@@ -43,7 +43,6 @@ import numpy as np
 from repro.server.ledger import LedgerStats, RequestLedger
 from repro.server.scheduler import REQUEST_PRIORITY
 from repro.sim.workload import PageSizeModel, RequestTrace
-from repro.transport.bundle import EXPIRY_HOURS
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
 from repro.web.sites import SiteGenerator
 
@@ -101,67 +100,31 @@ class FrontendStats:
 
 
 class PageResolver(Protocol):
-    """What the dispatcher needs from the page-production layer."""
+    """What the dispatcher needs from the page-production layer.
 
+    ``urls`` is ``generator.all_urls()``: the front end reads a page's
+    version from :meth:`SiteGenerator.versions` by the same index.
+    """
+
+    generator: SiteGenerator
     urls: list[str]
     store_hits: int
     store_misses: int
 
-    def epoch(self, url_index: int, hour: int) -> int: ...
-
-    def resolve_batch(
-        self, url_indices: list[int], hour: int
-    ) -> list[tuple[int, int, bool]]:
-        """(size_bytes, epoch, from_store) per index, in order."""
+    def resolve_batch(self, url_indices: list[int], hour: int) -> list[int]:
+        """Encoded size of each indexed page at ``hour``, in order."""
         ...
-
-
-class _HourWindowMemo:
-    """A memo dict bounded by simulation time, not entry count.
-
-    Entries remember the hour they were inserted; once the clock moves
-    past ``window`` hours beyond an entry's hour, the entry is evicted
-    (one O(n) sweep per simulated hour).  Everything memoised here is a
-    pure function of its key, so eviction can only cost a re-compute,
-    never change an outcome — which is what lets the resolver memos
-    survive multi-day traces without unbounded growth.  The resolvers
-    keep the bundle expiry window.
-    """
-
-    def __init__(self, window_hours: float = EXPIRY_HOURS) -> None:
-        self._data: dict = {}
-        self._hour_of: dict = {}
-        self._window = max(1, int(window_hours))
-        self._swept = -1
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, key, value, hour: int) -> None:
-        self._data[key] = value
-        self._hour_of[key] = hour
-        if hour > self._swept:
-            self._swept = hour
-            cutoff = hour - self._window
-            if cutoff > 0:
-                stale = [k for k, h in self._hour_of.items() if h < cutoff]
-                for k in stale:
-                    del self._data[k]
-                    del self._hour_of[k]
 
 
 class SizeModelResolver:
     """Prices pages via :class:`PageSizeModel` — the million-request path.
 
     Emulates the :class:`~repro.server.cache.BundleStore` exactly at the
-    accounting level: the first resolve of a (url, epoch) pair is a miss
-    (a render+encode), every later resolve is a store hit.  ``max_page_bytes``
-    caps sizes the same way ``repro stream --max-page-kb`` does, keeping
-    short simulated days meaningful at FM rates.  Memos are bounded to
-    the bundle expiry window.
+    accounting level: the first resolve of a (url, version) pair is a
+    miss (a render+encode), every later resolve is a store hit.
+    ``max_page_bytes`` caps sizes the same way ``repro stream
+    --max-page-kb`` does, keeping short simulated days meaningful at FM
+    rates.  Sizes are kept for the run: one per (url, version) it sees.
     """
 
     def __init__(
@@ -173,35 +136,23 @@ class SizeModelResolver:
         self.max_page_bytes = max_page_bytes
         self.store_hits = 0
         self.store_misses = 0
-        self._epochs = _HourWindowMemo()
-        self._sizes = _HourWindowMemo()
+        self._sizes: dict[tuple[int, int], int] = {}
 
-    def epoch(self, url_index: int, hour: int) -> int:
-        key = (url_index, hour)
-        epoch = self._epochs.get(key)
-        if epoch is None:
-            epoch = self.generator.effective_epoch(self.urls[url_index], hour)
-            self._epochs.put(key, epoch, hour)
-        return epoch
-
-    def resolve_batch(
-        self, url_indices: list[int], hour: int
-    ) -> list[tuple[int, int, bool]]:
+    def resolve_batch(self, url_indices: list[int], hour: int) -> list[int]:
+        versions = self.generator.versions(hour).tolist()
         out = []
         for i in url_indices:
-            epoch = self.epoch(i, hour)
-            key = (i, epoch)
+            key = (i, versions[i])
             size = self._sizes.get(key)
             if size is not None:
                 self.store_hits += 1
-                out.append((size, epoch, True))
-                continue
-            size = self.size_model.size_at(self.urls[i], epoch)
-            if self.max_page_bytes is not None:
-                size = min(size, self.max_page_bytes)
-            self._sizes.put(key, size, hour)
-            self.store_misses += 1
-            out.append((size, epoch, False))
+            else:
+                size = self.size_model.size_at(self.urls[i], key[1])
+                if self.max_page_bytes is not None:
+                    size = min(size, self.max_page_bytes)
+                self._sizes[key] = size
+                self.store_misses += 1
+            out.append(size)
         return out
 
 
@@ -228,31 +179,22 @@ class CatalogResolver:
 
         assert isinstance(pipeline, CatalogPipeline)
         self.pipeline = pipeline.start(processes)
-        self.urls = pipeline.generator.all_urls()
+        self.generator = pipeline.generator
+        self.urls = self.generator.all_urls()
         self.store_hits = 0
         self.store_misses = 0
-        self._epochs = _HourWindowMemo()
         self._requested: set[int] = set()
 
-    def epoch(self, url_index: int, hour: int) -> int:
-        key = (url_index, hour)
-        epoch = self._epochs.get(key)
-        if epoch is None:
-            epoch = self.pipeline.generator.effective_epoch(
-                self.urls[url_index], hour
-            )
-            self._epochs.put(key, epoch, hour)
-        return epoch
-
-    def resolve_batch(
-        self, url_indices: list[int], hour: int
-    ) -> list[tuple[int, int, bool]]:
-        result = self.pipeline.encode_catalog(
-            [self.urls[i] for i in url_indices], hour
-        )
+    def _harvest(self, result) -> list[int]:
+        """Count a finished catalog result's store hits; its page sizes."""
         self.store_hits += result.store_hits
         self.store_misses += result.encoded
-        return [(len(p.data), p.epoch, p.from_store) for p in result.pages]
+        return [len(p.data) for p in result.pages]
+
+    def resolve_batch(self, url_indices: list[int], hour: int) -> list[int]:
+        return self._harvest(
+            self.pipeline.encode_catalog([self.urls[i] for i in url_indices], hour)
+        )
 
     # -- render-ahead hooks ---------------------------------------------------
 
@@ -263,14 +205,11 @@ class CatalogResolver:
             [self.urls[i] for i in url_indices], hour
         )
 
-    def resolve_commit(self, job) -> list[tuple[int, int, bool]]:
+    def resolve_commit(self, job) -> list[int]:
         """Harvest a :meth:`resolve_submit` job (same shape as
         :meth:`resolve_batch`); store puts happen here, on the caller's
         thread, in submission order."""
-        result = job.result()
-        self.store_hits += result.store_hits
-        self.store_misses += result.encoded
-        return [(len(p.data), p.epoch, p.from_store) for p in result.pages]
+        return self._harvest(job.result())
 
     def prefetch_hour(self, hour: int) -> int:
         """Speculatively render previously requested URLs as they appear
@@ -349,6 +288,10 @@ class RequestFrontend:
     def now(self) -> float:
         return self._tick * self.config.tick_s
 
+    def _versions(self, hour: int) -> list[int]:
+        """Every page's version at ``hour``, indexed like ``resolver.urls``."""
+        return self.resolver.generator.versions(hour).tolist()
+
     # -- tick clock ------------------------------------------------------------
 
     def advance_to_tick(self, tick: int) -> None:
@@ -398,32 +341,31 @@ class RequestFrontend:
         A tick visits each parked URL once, in the order of its oldest
         parked request: the order in which a request-by-request walk,
         oldest first, meets the URLs.  All parked URLs not already on
-        air resolve in ONE ``resolve_batch`` up front (sizes and epochs
-        are pure in (url, hour), so resolving ahead of the walk — even
-        past the point where it blocks — cannot change any outcome).  A
-        URL on air at its epoch takes its parked requests as they are;
-        any other is enqueued, unless it is new and the backlog cannot
-        take it.  There the walk stops, and only the requests parked
+        air resolve in ONE ``resolve_batch`` up front (sizes are pure in
+        (url, version), so resolving ahead of the walk — even past the
+        point where it blocks — cannot change any outcome).  A URL on
+        air at its version takes its parked requests as they are; any
+        other is enqueued, unless it is new and the backlog cannot take
+        it.  There the walk stops, and only the requests parked
         before that URL's oldest one are retried: exactly the prefix the
         request-by-request walk retries.
         """
         cfg = self.config
         hour = int(t // 3600)
-        resolver = self.resolver
+        versions = self._versions(hour)
         active = self._active
         parked = self._deferred
         order = sorted(parked, key=lambda u: parked[u][0][0])
-        epochs = [resolver.epoch(u, hour) for u in order]
-        need = [u for u, epoch in zip(order, epochs) if active.get(u) != epoch]
-        resolved: dict[int, tuple[int, int]] = {}
+        need = [u for u in order if active.get(u) != versions[u]]
+        sizes: dict[int, int] = {}
         if need:
-            for u, (size, epoch, _) in zip(need, resolver.resolve_batch(need, hour)):
-                resolved[u] = (size, epoch)
+            sizes = dict(zip(need, self.resolver.resolve_batch(need, hour)))
         stop = math.inf  # park seq of the oldest request still blocked
         walked: list[int] = []
-        for u, epoch in zip(order, epochs):
+        for u in order:
+            epoch = versions[u]
             if active.get(u) != epoch:
-                size, epoch = resolved[u]
+                size = sizes[u]
                 if (
                     u not in active
                     and self.carousel.backlog_bytes() + size > cfg.max_backlog_bytes
@@ -481,12 +423,12 @@ class RequestFrontend:
         req_ids: np.ndarray,
         url_index: np.ndarray,
         times: np.ndarray,
-        resolved: dict[int, tuple[int, int]] | None = None,
+        resolved: dict[int, int] | None = None,
     ) -> None:
         """Dispatch one cohort (all arrivals within the current tick).
 
         Resolution is batched: every URL in the cohort not already on air
-        at the current epoch costs exactly one resolve, however many
+        at its current version costs exactly one resolve, however many
         requests want it — that is the N-requests-one-render win.  The
         *decisions* (enqueue / attach / defer / shed) then replay in
         strict arrival order, because backpressure state (backlog, the
@@ -494,8 +436,8 @@ class RequestFrontend:
         the outcome stream identical for any batch partitioning,
         including the serial one-request cohorts.
 
-        ``resolved`` may carry (size, epoch) pairs computed ahead of
-        time by the render-ahead lookahead; everything it resolves is pure in
+        ``resolved`` may carry URL -> size entries computed ahead of time
+        by the render-ahead lookahead; everything it resolves is pure in
         (url, hour), so a speculative superset is harmless and any URL
         it missed is topped up synchronously here.
         """
@@ -506,21 +448,20 @@ class RequestFrontend:
         stats = self.stats
         stats.submitted += n
         stats.batches += 1
-        resolver = self.resolver
+        versions = self._versions(hour)
         active = self._active
 
         # One batched resolve per cohort: pure in (url, hour), so *when*
         # it runs relative to the walk below cannot change any outcome.
         if resolved is None:
-            resolved = {}  # url -> (size, epoch)
+            resolved = {}
         need = [
             u
             for u in np.unique(url_index).tolist()
-            if u not in resolved and active.get(u) != resolver.epoch(u, hour)
+            if u not in resolved and active.get(u) != versions[u]
         ]
         if need:
-            for u, (size, epoch, _) in zip(need, resolver.resolve_batch(need, hour)):
-                resolved[u] = (size, epoch)
+            resolved.update(zip(need, self.resolver.resolve_batch(need, hour)))
 
         # Arrival-order walk.  Outcomes accumulate into per-URL buckets so
         # ledger writes and waiting-list appends stay batched.
@@ -536,18 +477,17 @@ class RequestFrontend:
         for rid, u, ts in zip(
             req_ids.tolist(), url_index.tolist(), times.tolist()
         ):
-            info = resolved.get(u)
-            if info is None or active.get(u) == info[1]:
-                # On air at the current epoch — either before this cohort
-                # (never resolved) or enqueued earlier in this walk.
+            if active.get(u) == versions[u]:
+                # On air at its current version — either before this
+                # cohort or enqueued earlier in this walk.
                 q_ids.setdefault(u, []).append(rid)
                 q_ts.setdefault(u, []).append(ts)
                 stats.coalesced += 1
-            elif u in active or backlog_bytes() + info[0] <= backlog_limit:
-                # A fresh epoch of an already-queued page replaces it in
+            elif u in active or backlog_bytes() + resolved[u] <= backlog_limit:
+                # A fresh version of an already-queued page replaces it in
                 # place (no saturation check: its airtime is already
                 # committed); a new page must clear the backlog threshold.
-                self._enqueue_page(u, info[1], info[0])
+                self._enqueue_page(u, versions[u], resolved[u])
                 q_ids.setdefault(u, []).append(rid)
                 q_ts.setdefault(u, []).append(ts)
             elif self._n_deferred < defer_capacity:
@@ -621,11 +561,10 @@ class RequestFrontend:
             # Cohort k holds arrivals in [k*T, (k+1)*T): the batch window
             # closes — and dispatch happens — at the (k+1) boundary.
             self.advance_to_tick(k + 1)
-            resolved: dict[int, tuple[int, int]] = {}
+            resolved: dict[int, int] = {}
             if job is not None:
                 job.wait()
-                for u, (size, epoch, _) in zip(need, resolver.resolve_commit(job)):
-                    resolved[u] = (size, epoch)
+                resolved = dict(zip(need, resolver.resolve_commit(job)))
             self.submit_batch(ids, urls, times, resolved=resolved)
             if progress is not None and self.stats.batches % progress_every == 0:
                 progress(self)
@@ -636,11 +575,12 @@ class RequestFrontend:
             if submit is not None:
                 k, _, urls, _ = cohort
                 hour = int(((k + 1) * cfg.tick_s) // 3600)
+                versions = self._versions(hour)
                 active = self._active
                 need = [
                     u
                     for u in np.unique(urls).tolist()
-                    if active.get(u) != resolver.epoch(u, hour)
+                    if active.get(u) != versions[u]
                 ]
                 if need:
                     job = submit(need, hour)

@@ -48,6 +48,7 @@ from repro.server.scheduler import (
 from repro.sim.geometry import Location, PopulationGeometry, RegionPartition
 from repro.sim.workload import PageSizeModel, RequestTraceConfig, generate_requests
 from repro.sms.protocol import LinkReport
+from repro.transport.bundle import BROADCAST_QUALITY
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
 from repro.util.parallel import WorkerPool, worker_count
 from repro.util.rng import derive_key, derive_rng
@@ -84,6 +85,12 @@ _PROFILE_RATES = {name: rate for name, rate, _, _ in DEFAULT_PROFILE_LADDER}
 MAX_BACKLOG_BYTES = 48_000_000
 #: Frames per synthetic per-epoch receiver link report.
 LINK_REPORT_FRAMES = 256
+#: Adaptation deadline: a carousel cycle that has not completed within
+#: this long forces a profile-adoption boundary anyway.  Under sustained
+#: overload, request-priority arrivals can preempt the cycle snapshot
+#: indefinitely — without the deadline a station would stay pinned to a
+#: dying rate rung forever.
+PROFILE_DEADLINE_S = 7200.0
 
 
 @dataclass(frozen=True)
@@ -133,12 +140,6 @@ class NetworkConfig:
     request_rate_per_s: float | None = None
     pages_per_station: int = 24
     regions: tuple[RegionSpec, ...] | None = None
-    #: Adaptation deadline: a carousel cycle that has not completed
-    #: within this long forces a profile-adoption boundary anyway.
-    #: Under sustained overload, request-priority arrivals can preempt
-    #: the cycle snapshot indefinitely — without the deadline a station
-    #: would stay pinned to a dying rate rung forever.
-    profile_deadline_s: float = 7200.0
 
     def __post_init__(self) -> None:
         if self.n_stations < 1:
@@ -149,8 +150,6 @@ class NetworkConfig:
             raise ValueError("n_pages must be a multiple of 4")
         if self.tick_s <= 0 or 3600.0 % self.tick_s != 0.0:
             raise ValueError("tick_s must evenly divide the 3600 s epoch")
-        if self.profile_deadline_s < self.tick_s:
-            raise ValueError("profile_deadline_s must cover at least one tick")
 
     def resolved_regions(self) -> tuple[RegionSpec, ...]:
         """``n_stations`` regions: the defaults, extended if asked for more."""
@@ -327,7 +326,7 @@ def _step_station_epoch(
 
 def _epoch_params(cfg: NetworkConfig) -> tuple:
     """Per-worker state: the run-wide arguments of ``_step_station_epoch``."""
-    return cfg.tick_s, max(1, int(cfg.profile_deadline_s // cfg.tick_s))
+    return cfg.tick_s, int(PROFILE_DEADLINE_S // cfg.tick_s)
 
 
 def _epoch_worker(params: tuple, payload: tuple) -> tuple[_SimCore, list[tuple]]:
@@ -496,10 +495,7 @@ class BroadcastNetwork:
         A size is a pure function of ``(url, version)``, so only pages
         whose version changed since the last epoch priced are priced again.
         """
-        versions = np.array(
-            [self.generator.effective_epoch(url, epoch) for url in self.urls],
-            dtype=np.int64,
-        )
+        versions = self.generator.versions(epoch)
         sizes = self._page_sizes.copy()
         for i in np.flatnonzero(versions != self._page_versions):
             sizes[i] = self.size_model.size_at(self.urls[i], int(versions[i]))
@@ -551,7 +547,7 @@ class BroadcastNetwork:
                         url = self.urls[u]
                         version = int(versions[u])
                         key = bundle_key(
-                            url, version, 0, None, self.size_model.quality, cfg.seed
+                            url, version, 0, None, BROADCAST_QUALITY, cfg.seed
                         )
                         if self.store.get(key) is None:
                             self.store.put(key, f"{url}|{version}".encode())

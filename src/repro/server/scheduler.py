@@ -30,7 +30,6 @@ from repro.web.tranco import ZIPF_EXPONENT
 
 __all__ = [
     "REQUEST_PRIORITY",
-    "SchedulerConfig",
     "PopularityScheduler",
     "AdaptiveProfileSelector",
     "DemandConfig",
@@ -55,23 +54,15 @@ MAX_PAGES_PER_HOUR = 100
 MORNING_PUSH_HOURS = (6, 7, 8)
 #: ... and the priority factor news pages get inside it.
 MORNING_NEWS_BOOST = 3.0
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Push policy knobs."""
-
-    refresh_top_n: int = 3  # unchanged popular pages rebroadcast hourly
+#: Unchanged popular pages rebroadcast by each later hourly push.
+REFRESH_TOP_N = 3
 
 
 class PopularityScheduler:
     """Ranks corpus pages for each hourly push."""
 
-    def __init__(
-        self, generator: SiteGenerator, config: SchedulerConfig = SchedulerConfig()
-    ) -> None:
+    def __init__(self, generator: SiteGenerator) -> None:
         self.generator = generator
-        self.config = config
 
     def page_priority(self, url: str, hour: int) -> float:
         """Push priority of a page at a given hour."""
@@ -90,18 +81,20 @@ class PopularityScheduler:
         Hour 0 seeds the whole catalog; afterwards only changed pages
         are queued, capped by the per-hour airtime guard.
         """
-        urls = self.generator.all_urls()
+        gen = self.generator
+        urls = gen.all_urls()
         if hour == 0:
             due = list(urls)
         else:
-            due = [u for u in urls if self.generator.changed_at(u, hour)]
+            changed = (gen.versions(hour) != gen.versions(hour - 1)).tolist()
+            due = [u for u, c in zip(urls, changed) if c]
             # Rebroadcast the top unchanged pages so lossy receivers can
             # fill reception gaps on a later carousel cycle.
             unchanged = sorted(
-                (u for u in urls if u not in due),
+                (u for u, c in zip(urls, changed) if not c),
                 key=lambda u: -self.page_priority(u, hour),
             )
-            due.extend(unchanged[: self.config.refresh_top_n])
+            due.extend(unchanged[:REFRESH_TOP_N])
         ranked = sorted(
             ((u, self.page_priority(u, hour)) for u in due),
             key=lambda pair: -pair[1],
@@ -209,6 +202,10 @@ class AdaptiveProfileSelector:
 DEMAND_WEIGHT = 1.0
 #: Score weight of the region-local Tranco rank prior.
 PRIOR_WEIGHT = 0.25
+#: Score weight of the aging counter (the starvation-freeness guarantee).
+AGING_WEIGHT = 0.05
+#: Carry-over of last epoch's demand into this one (exponential decay).
+DEMAND_DECAY = 0.5
 #: EWMA demand below this is snapped to zero.  Exponential decay never
 #: reaches 0.0 in floats, so without the snap a single ancient request
 #: would keep a page "live" (and aging) forever.
@@ -219,22 +216,14 @@ QUIET_THRESHOLD = 1e-6
 class DemandConfig:
     """Demand-driven allocation knobs for the multi-station scheduler."""
 
-    #: Carry-over of last epoch's demand into this one (exponential decay).
-    decay: float = 0.5
-    #: Score weight of the aging counter (starvation-freeness guarantee).
-    aging_weight: float = 0.05
     #: Pages each station may carry per epoch (airtime budget).
     pages_per_station: int = 24
     #: Seed keying the deterministic tie-break stream.
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
         if self.pages_per_station < 1:
             raise ValueError("pages_per_station must be positive")
-        if self.aging_weight < 0:
-            raise ValueError("aging_weight must be non-negative")
 
 
 class DemandScheduler:
@@ -244,10 +233,10 @@ class DemandScheduler:
 
         score = DEMAND_WEIGHT * ewma_demand
               + PRIOR_WEIGHT  * region_prior
-              + aging_weight  * age
+              + AGING_WEIGHT  * age
 
     ``ewma_demand`` folds the station ledger's per-URL request counts in
-    with exponential decay (:attr:`DemandConfig.decay`), so yesterday's
+    with exponential decay (:data:`DEMAND_DECAY`), so yesterday's
     fashion fades; ``region_prior`` is the station's local popularity
     prior (region-permuted Tranco weights); ``age`` counts consecutive
     epochs a page had live demand yet no slot — it grows without bound
@@ -318,14 +307,14 @@ class DemandScheduler:
         indices = np.arange(self.n_pages, dtype=np.uint64)
         for sid in self.station_ids:
             demand = self._demand[sid]
-            demand *= cfg.decay
+            demand *= DEMAND_DECAY
             demand += self._pending[sid]
             demand[demand < QUIET_THRESHOLD] = 0.0
             self._pending[sid] = np.zeros(self.n_pages)
             score = (
                 DEMAND_WEIGHT * demand
                 + PRIOR_WEIGHT * self._priors[sid]
-                + cfg.aging_weight * self._age[sid]
+                + AGING_WEIGHT * self._age[sid]
             )
             tiebreak = counter_uniforms(
                 derive_key(cfg.seed, "sched-tiebreak", sid, str(epoch)), indices

@@ -56,7 +56,6 @@ class ServerConfig:
     sms_number: str = "+92300766421"
     render_width: int = 1080
     max_pixel_height: int | None = 10_000
-    quality: int = 10
 
 
 @dataclass
@@ -240,9 +239,7 @@ class SonicServer:
             ],
         )
         rendered = self.renderer.render(page)
-        bundle = PageBundle(
-            url, rendered.image, rendered.clickmap, quality=self.config.quality
-        )
+        bundle = PageBundle(url, rendered.image, rendered.clickmap)
         self.enqueue_broadcast(tx, url, bundle.to_bytes(), priority=REQUEST_PRIORITY)
         eta = tx.carousel.eta_seconds(url) or 0.0
         self._reply(sender, RequestAck(url, eta).to_text(), now)
@@ -320,7 +317,6 @@ class SonicServer:
                     n_sites=self.generator.n_sites,
                     width=self.config.render_width,
                     max_height=self.config.max_pixel_height,
-                    quality=self.config.quality,
                 ),
                 store=self.bundle_store,
                 generator=self.generator,

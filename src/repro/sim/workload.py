@@ -45,24 +45,15 @@ _CATEGORY_MEDIAN_BYTES = {
 }
 _SIGMA = 0.35  # log-normal spread across pages
 _EPOCH_JITTER = 0.08  # hour-to-hour size wobble of the same page
-#: Encoded size relative to Q10 per SWebp quality (the Fig. 4(b) sweep).
-_QUALITY_SCALE = {10: 1.0, 50: 1.8, 90: 3.4}
 #: Backlog sampling resolution of a Figure 4(c) run.
 SAMPLE_MINUTES = 6
 
 
 class PageSizeModel:
-    """Bytes-on-air of each (url, content epoch) pair."""
+    """Bytes-on-air of each (url, content epoch) pair, encoded at Q10."""
 
-    def __init__(self, generator: SiteGenerator, quality: int = 10) -> None:
-        if quality not in _QUALITY_SCALE:
-            supported = ", ".join(str(q) for q in _QUALITY_SCALE)
-            raise ValueError(
-                f"no size scale for quality {quality}; supported: {supported}"
-            )
+    def __init__(self, generator: SiteGenerator) -> None:
         self._gen = generator
-        self.quality = quality
-        self._quality_scale = _QUALITY_SCALE[quality]
         self._measured: dict[str, int] = {}
         # Modelled base size per URL: one draw each, bounded by the corpus.
         self._modelled: dict[str, int] = {}
@@ -83,7 +74,7 @@ class PageSizeModel:
             median = _CATEGORY_MEDIAN_BYTES[category] * float(
                 rng.lognormal(mean=0.0, sigma=_SIGMA)
             )
-            size = self._modelled[url] = int(median * self._quality_scale)
+            size = self._modelled[url] = int(median)
         return size
 
     def size_at(self, url: str, epoch: int) -> int:
@@ -186,7 +177,6 @@ class WorkloadConfig:
     n_pages: int = 100  # 100 -> 25 sites, 200 -> 50 sites
     n_hours: int = 72  # the paper collected 3 days
     seed: int = 42
-    quality: int = 10
 
     @property
     def n_sites(self) -> int:
@@ -217,7 +207,7 @@ class BroadcastWorkload:
     def __init__(self, config: WorkloadConfig = WorkloadConfig()) -> None:
         self.config = config
         self.generator = SiteGenerator(seed=config.seed, n_sites=config.n_sites)
-        self.size_model = PageSizeModel(self.generator, quality=config.quality)
+        self.size_model = PageSizeModel(self.generator)
 
     def enqueue_hour(
         self, carousel: BroadcastCarousel, hour: int, pipeline=None
@@ -228,16 +218,22 @@ class BroadcastWorkload:
         the batch :meth:`run` loop and the chunked ``repro stream``
         driver.  Returns the bytes enqueued.
         """
+        gen = self.generator
+        urls = gen.all_urls()
+        versions = gen.versions(hour)
+        if hour:
+            due = versions != gen.versions(hour - 1)
+        else:
+            due = np.ones(len(urls), dtype=bool)  # hour 0 seeds the corpus
         added = 0
-        for i, url in enumerate(self.generator.all_urls()):
-            if hour == 0 or self.generator.changed_at(url, hour):
-                epoch = self.generator.effective_epoch(url, hour)
-                if pipeline is not None:
-                    size = len(pipeline.encode_page(url, hour).data)
-                else:
-                    size = self.size_model.size_at(url, epoch)
-                carousel.enqueue(CarouselItem(url, size, priority=1.0 / (i + 1)))
-                added += size
+        for i in np.flatnonzero(due).tolist():
+            url = urls[i]
+            if pipeline is not None:
+                size = len(pipeline.encode_page(url, hour).data)
+            else:
+                size = self.size_model.size_at(url, int(versions[i]))
+            carousel.enqueue(CarouselItem(url, size, priority=1.0 / (i + 1)))
+            added += size
         return added
 
     def run(self, pipeline=None) -> WorkloadResult:

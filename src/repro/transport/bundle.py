@@ -23,14 +23,16 @@ from repro.transport.framing import (
 )
 from repro.web.clickmap import ClickMap
 
-__all__ = ["EXPIRY_HOURS", "PageBundle", "BundleTransport"]
+__all__ = ["EXPIRY_HOURS", "BROADCAST_QUALITY", "PageBundle", "BundleTransport"]
 
 _BUNDLE_MAGIC = b"SNBD"
 
-#: Client cache lifetime the server stamps on every bundle, and the
-#: window its catalog memos keep: the corpus is re-rendered hourly, so
-#: a day-old screenshot is stale.
+#: Client cache lifetime the server stamps on every bundle: the corpus
+#: is re-rendered hourly, so a day-old screenshot is stale.
 EXPIRY_HOURS = 24.0
+#: SWebp quality of every broadcast page: Q10, the paper's choice for
+#: the FM downlink (Fig. 4(b)).
+BROADCAST_QUALITY = 10
 
 
 @dataclass
@@ -41,7 +43,7 @@ class PageBundle:
     image: np.ndarray  # (H, W, 3) uint8 screenshot
     clickmap: ClickMap
     expiry_hours: float = EXPIRY_HOURS  # cache lifetime dictated by the server
-    quality: int = 10
+    quality: int = BROADCAST_QUALITY
 
     def to_bytes(self) -> bytes:
         """Serialise: header + click map + SWebp image."""

@@ -141,9 +141,19 @@ class SiteGenerator:
                 Website(entry.domain, category, i + 1, entry.weight, paths)
             )
         self._by_domain = {site.domain: site for site in self._sites}
-        # (url, refresh tick) -> epoch, filled incrementally so asking
-        # about hour h costs one churn draw per *new* tick, not h draws.
-        self._epoch_memo: dict[tuple[str, int], int] = {}
+        self._urls = [url for site in self._sites for url in site.urls()]
+        self._index = {url: i for i, url in enumerate(self._urls)}
+        self._cadence = np.array(
+            [
+                CATEGORY_REFRESH_HOURS[site.category]
+                for site in self._sites
+                for _ in site.urls()
+            ]
+        )
+        # versions(h) of every hour up to the latest asked; hour 0 is all 0.
+        start = np.zeros(len(self._urls), dtype=np.int64)
+        start.flags.writeable = False
+        self._versions = [start]
 
     def websites(self) -> list[Website]:
         """The ranked 25-site corpus."""
@@ -157,10 +167,7 @@ class SiteGenerator:
 
     def all_urls(self) -> list[str]:
         """All 100 corpus URLs (25 landing + 75 internal)."""
-        urls: list[str] = []
-        for site in self._sites:
-            urls.extend(site.urls())
-        return urls
+        return list(self._urls)
 
     # -- content ------------------------------------------------------------
 
@@ -184,41 +191,45 @@ class SiteGenerator:
             return 1.0
         return 0.4  # 23:00
 
-    def effective_epoch(self, url: str, hour: int) -> int:
-        """Content version of ``url`` at ``hour``.
+    def versions(self, hour: int) -> np.ndarray:
+        """Content version of every corpus page at ``hour``, in
+        :meth:`all_urls` order (a read-only array).
 
-        Counts the category's refresh ticks up to ``hour`` that passed
-        the diurnal gate — so a page's appearance changes exactly when a
-        refresh really happened.
+        A page's version counts its category's refresh ticks up to
+        ``hour`` that passed the diurnal gate, so its appearance changes
+        exactly when a refresh really happened.  Each hour is computed
+        once, from the hour before, and kept: one churn draw per (page,
+        tick) in the generator's life, whatever order hours are asked in.
         """
-        domain, _, _ = url.partition("/")
-        site = self.website(domain)
+        memo = self._versions
+        while len(memo) <= hour:
+            tick = len(memo)
+            version = memo[-1].copy()
+            for i in np.flatnonzero(tick % self._cadence == 0).tolist():
+                if self._refreshed(self._urls[i], tick):
+                    version[i] += 1
+            version.flags.writeable = False
+            memo.append(version)
+        return memo[max(hour, 0)]
+
+    def _refreshed(self, url: str, tick: int) -> bool:
+        """Did the refresh of ``url`` due at ``tick`` change its content?"""
+        gate = derive_rng(self.seed, "churn", url, tick)
+        return gate.random() < self.diurnal_activity(tick)
+
+    def effective_epoch(self, url: str, hour: int) -> int:
+        """Content version of ``url`` at ``hour``: its entry in
+        :meth:`versions`.  A path outside the corpus on a corpus domain
+        (an SMS can name one) counts its own refresh ticks the same way.
+        """
+        i = self._index.get(url)
+        if i is not None:
+            return int(self.versions(hour)[i])
+        site = self.website(url.partition("/")[0])
         cadence = CATEGORY_REFRESH_HOURS[site.category]
-        last = (hour // cadence) * cadence if hour >= 0 else 0
-        if last <= 0:
-            return 0
-        memo = self._epoch_memo
-        cached = memo.get((url, last))
-        if cached is not None:
-            return cached
-        # Resume from the nearest memoized tick; each churn draw is
-        # independent per (url, h), so partial evaluation is exact.
-        epoch = 0
-        start = cadence
-        for h in range(last - cadence, 0, -cadence):
-            prev = memo.get((url, h))
-            if prev is not None:
-                epoch = prev
-                start = h + cadence
-                break
-        if len(memo) > 200_000:  # soft bound; refilled on demand
-            memo.clear()
-        for h in range(start, last + 1, cadence):
-            gate = derive_rng(self.seed, "churn", url, h)
-            if gate.random() < self.diurnal_activity(h):
-                epoch += 1
-            memo[(url, h)] = epoch
-        return epoch
+        return sum(
+            self._refreshed(url, tick) for tick in range(cadence, hour + 1, cadence)
+        )
 
     def changed_at(self, url: str, hour: int) -> bool:
         """Did ``url``'s content change at exactly ``hour``?"""

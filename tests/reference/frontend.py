@@ -44,6 +44,7 @@ class RescanFrontend(RequestFrontend):
         cfg = self.config
         hour = int(t // 3600)
         resolver = self.resolver
+        versions = self._versions(hour)
         active = self._active
         deferred = self._fifo
         need: list[int] = []
@@ -51,15 +52,15 @@ class RescanFrontend(RequestFrontend):
         for _, index in deferred:
             if index not in seen:
                 seen.add(index)
-                if active.get(index) != resolver.epoch(index, hour):
+                if active.get(index) != versions[index]:
                     need.append(index)
         resolved: dict[int, tuple[int, int]] = {}
         if need:
-            for u, (size, epoch, _) in zip(need, resolver.resolve_batch(need, hour)):
-                resolved[u] = (size, epoch)
+            for u, size in zip(need, resolver.resolve_batch(need, hour)):
+                resolved[u] = (size, versions[u])
         while deferred:
             req_id, index = deferred[0]
-            epoch = resolver.epoch(index, hour)
+            epoch = versions[index]
             if active.get(index) == epoch:
                 self._attach(index, np.array([req_id], dtype=np.int64))
                 self.stats.coalesced -= 1  # attach() counts; retries aren't new

@@ -216,6 +216,40 @@ class TestCli:
         assert len(stations) == 3
         assert all(s["ledger_digest"] for s in stations)
 
+    def test_network_coverage_computed_once(self, tmp_path, capsys, monkeypatch):
+        import repro.server.network as network_mod
+
+        calls = []
+        coverage = network_mod.network_coverage
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return coverage(*args, **kwargs)
+
+        monkeypatch.setattr(network_mod, "network_coverage", counted)
+        report = tmp_path / "stations.json"
+        assert main([
+            "network", "--stations", "2", "--hours", "1", "--tick-s", "600",
+            "--coverage", "400", "--json", str(report),
+        ]) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        assert "per-station coverage (400 Tier-2 listeners)" in out
+        assert len(json.loads(report.read_text())["coverage"]) == 2
+
+    def test_serve_48_hour_day_digest_pinned(self, capsys):
+        # The longest default-size day: page versions and sizes from
+        # more than a day back are read again, and no ledger row moves.
+        assert main([
+            "serve", "--hours", "48", "--requests", "300000",
+            "--progress-every", "100000",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "ledger digest: "
+            "448a05dcbc83575748b3f74692cb50ff613bb3c2e3b1131569bf6d6b3f033f7c"
+        ) in out
+
     def test_tournament_frontier_json_and_svg(self, tmp_path, capsys):
         from tests.test_sim_tournament import TINY
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.server.scheduler import PopularityScheduler, SchedulerConfig
+from repro.server.scheduler import REFRESH_TOP_N, PopularityScheduler
 from repro.server.server import ServerConfig, SonicServer
 from repro.server.transmitters import Transmitter, TransmitterRegistry
 from repro.sim.geometry import Location
@@ -54,16 +54,14 @@ class TestScheduler:
         assert len(pushes) == 100
 
     def test_later_hours_only_changed_plus_refresh(self, site_generator):
-        sched = PopularityScheduler(
-            site_generator, SchedulerConfig(refresh_top_n=2)
-        )
+        sched = PopularityScheduler(site_generator)
         pushes = sched.pages_to_push(5)
         urls = [u for u, _ in pushes]
         changed = [
             u for u in site_generator.all_urls() if site_generator.changed_at(u, 5)
         ]
         assert set(changed) <= set(urls)
-        assert len(urls) <= len(changed) + 2
+        assert len(urls) == len(changed) + REFRESH_TOP_N
 
     def test_morning_news_boost(self, site_generator):
         sched = PopularityScheduler(site_generator)

@@ -166,9 +166,7 @@ class TestServerIntegration:
 
 class TestWorkloadWithPipeline:
     def test_measured_sizes_and_store_reuse(self):
-        cfg = WorkloadConfig(
-            rate_bps=40_000.0, n_pages=8, n_hours=2, seed=42, quality=10
-        )
+        cfg = WorkloadConfig(rate_bps=40_000.0, n_pages=8, n_hours=2, seed=42)
         pipeline = CatalogPipeline(
             CatalogConfig(
                 seed=42, n_sites=cfg.n_sites, width=240, max_height=600, quality=10

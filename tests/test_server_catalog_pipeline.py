@@ -14,12 +14,7 @@ import pytest
 
 from repro.server.cache import BundleStore
 from repro.server.catalog import CatalogConfig, CatalogPipeline
-from repro.server.frontend import (
-    CatalogResolver,
-    FrontendConfig,
-    RequestFrontend,
-    _HourWindowMemo,
-)
+from repro.server.frontend import CatalogResolver, FrontendConfig, RequestFrontend
 from repro.server.server import ServerConfig, SonicServer
 from repro.server.transmitters import Transmitter, TransmitterRegistry
 from repro.sim.geometry import Location
@@ -253,24 +248,6 @@ class TestFrontendModeParity:
         digest, store = self._run(trace)
         assert digest == d_serial
         assert store.content_digest() == s_serial.content_digest()
-
-
-class TestHourWindowMemo:
-    def test_window_bounds_entries(self):
-        memo = _HourWindowMemo(window_hours=2)
-        for hour in range(10):
-            memo.put(("k", hour), hour, hour)
-            assert len(memo) <= 3  # current hour plus the 2-hour window
-        assert memo.get(("k", 9)) == 9
-        assert memo.get(("k", 0)) is None  # evicted, recomputable
-
-    def test_eviction_only_costs_recompute(self):
-        memo = _HourWindowMemo(window_hours=1)
-        memo.put("a", 1, hour=0)
-        memo.put("b", 2, hour=5)  # sweeps "a"
-        assert memo.get("a") is None
-        memo.put("a", 1, hour=5)  # same pure value, re-inserted
-        assert memo.get("a") == 1
 
 
 class TestServerPipelineReuse:

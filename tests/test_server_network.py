@@ -57,8 +57,6 @@ class TestConfig:
             NetworkConfig(n_pages=30)  # not a multiple of 4
         with pytest.raises(ValueError):
             NetworkConfig(tick_s=7.0)  # does not divide the epoch
-        with pytest.raises(ValueError):
-            NetworkConfig(tick_s=600.0, profile_deadline_s=300.0)
 
     def test_resolved_regions_extend_past_defaults(self):
         regions = NetworkConfig(n_stations=11, tick_s=600.0).resolved_regions()

@@ -21,24 +21,12 @@ class TestSizeModel:
         sizes = [model.size_at(url, e) for e in range(10)]
         assert max(sizes) / min(sizes) < 1.8
 
-    def test_quality_scaling(self):
-        gen = SiteGenerator(seed=1)
-        url = gen.all_urls()[0]
-        q10 = PageSizeModel(gen, quality=10).base_size(url)
-        q90 = PageSizeModel(gen, quality=90).base_size(url)
-        assert 2.5 < q90 / q10 < 4.5  # the paper's ~200 KB vs ~700 KB
-
     def test_calibration_overrides(self):
         gen = SiteGenerator(seed=1)
         model = PageSizeModel(gen)
         url = gen.all_urls()[0]
         model.calibrate({url: 123_456})
         assert model.base_size(url) == 123_456
-
-    def test_unsupported_quality_rejected(self):
-        # Q30 has no measured scale; it must not be priced as Q10.
-        with pytest.raises(ValueError, match="10, 50, 90"):
-            PageSizeModel(SiteGenerator(seed=1), quality=30)
 
     def test_calibration_overrides_a_modelled_size_already_read(self):
         gen = SiteGenerator(seed=1)

@@ -1,9 +1,34 @@
 """Synthetic site generator: corpus structure, determinism, churn."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.util.rng import derive_rng
 from repro.web.dom import Header, Heading
 from repro.web.sites import CATEGORY_REFRESH_HOURS, SiteGenerator
+
+#: Latest hour the query-order property asks about.
+_MAX_HOUR = 40
+
+
+@functools.lru_cache(maxsize=None)
+def _passed_ticks(seed: int, url: str, category: str) -> tuple[int, ...]:
+    """The refresh ticks of ``url`` up to :data:`_MAX_HOUR` whose churn
+    gate passed: the direct definition of a page's version."""
+    cadence = CATEGORY_REFRESH_HOURS[category]
+    return tuple(
+        h
+        for h in range(cadence, _MAX_HOUR + 1, cadence)
+        if derive_rng(seed, "churn", url, h).random()
+        < SiteGenerator.diurnal_activity(h)
+    )
+
+
+def _direct_version(gen: SiteGenerator, url: str, hour: int) -> int:
+    category = gen.website(url.partition("/")[0]).category
+    return sum(1 for h in _passed_ticks(gen.seed, url, category) if h <= hour)
 
 
 class TestCorpus:
@@ -78,29 +103,27 @@ class TestChurn:
             ) != site_generator.effective_epoch(url, hour - 1)
             assert changed == delta
 
-    def test_epoch_memo_independent_of_query_order(self):
-        """The incremental memo must agree with the direct tick-by-tick
-        definition whatever order hours are asked in."""
-        import random
-
-        from repro.util.rng import derive_rng
-
-        def direct(g, url, hour):
-            cadence = CATEGORY_REFRESH_HOURS[
-                g.website(url.partition("/")[0]).category
-            ]
-            epoch = 0
-            for h in range(cadence, hour + 1, cadence):
-                gate = derive_rng(g.seed, "churn", url, h)
-                if gate.random() < g.diurnal_activity(h):
-                    epoch += 1
-            return epoch
-
-        gen = SiteGenerator(seed=13, n_sites=4)
-        queries = [(u, h) for u in gen.all_urls() for h in range(-1, 36)]
-        random.Random(0).shuffle(queries)
-        for url, hour in queries:
-            assert gen.effective_epoch(url, hour) == direct(gen, url, hour)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.sampled_from([13, 14]),
+        hours=st.lists(st.integers(-2, _MAX_HOUR), min_size=1, max_size=12),
+    )
+    def test_epoch_memo_independent_of_query_order(self, seed, hours):
+        """``versions(h)`` equals the direct count of passed churn gates
+        for every URL, whatever order a fresh generator is asked hours
+        in; ``effective_epoch`` reads it, and a path outside the corpus
+        on a corpus domain counts its own gates."""
+        gen = SiteGenerator(seed=seed, n_sites=4)
+        urls = gen.all_urls()
+        outside = f"{gen.websites()[0].domain}/ads/promo"
+        for hour in hours:
+            versions = gen.versions(hour)
+            assert not versions.flags.writeable
+            assert versions.tolist() == [_direct_version(gen, u, hour) for u in urls]
+            assert [gen.effective_epoch(u, hour) for u in urls] == versions.tolist()
+            assert gen.effective_epoch(outside, hour) == _direct_version(
+                gen, outside, hour
+            )
 
     def test_news_churns_more_than_government(self, site_generator):
         by_cat = {}
