@@ -30,7 +30,9 @@ class ConvolutionalCode:
         input bit).
     polys:
         Generator polynomials, one per output bit, given as integers whose
-        MSB (bit K-1) taps the *current* input bit.
+        MSB (bit K-1) taps the *current* input bit.  Every polynomial
+        must tap the oldest bit (bit 0), as all of Quiet's do: the
+        decoder's butterfly relies on it.
     """
 
     def __init__(self, constraint: int, polys: tuple[int, ...]) -> None:
@@ -41,6 +43,8 @@ class ConvolutionalCode:
         mask = (1 << constraint) - 1
         if any(p <= 0 or p > mask for p in polys):
             raise ValueError("generator polynomial does not fit constraint length")
+        if not all(p & 1 for p in polys):
+            raise ValueError("every generator polynomial must tap the oldest bit")
         self.constraint = constraint
         self.polys = tuple(polys)
         self.n_out = len(polys)
@@ -72,18 +76,13 @@ class ConvolutionalCode:
                 for j, poly in enumerate(self.polys):
                     branch[ns, p_idx, j] = bin(window & poly).count("1") & 1
         self._branch_bits = branch
-        # A rate-1/n branch metric takes at most 2^n distinct values per
-        # bit time (one per output-bit pattern); decoding gathers them
-        # from a small combo table instead of a per-branch matmul.
-        weights = 1 << np.arange(self.n_out - 1, -1, -1)
-        self._branch_pattern = (
-            (branch.astype(np.int64) * weights).sum(axis=2).reshape(-1)
-        )  # (n_states * 2,) pattern index per branch, trellis order
-        patterns = (
-            (np.arange(1 << self.n_out)[:, None] >> np.arange(self.n_out - 1, -1, -1))
-            & 1
-        )
-        self._pattern_bipolar = (1.0 - 2.0 * patterns).T  # (n_out, 2^n_out)
+        # Every polynomial taps the oldest bit, so the branch from 2*low+1
+        # emits the complement of the branch from 2*low: its metric is
+        # exactly minus x, the metric from 2*low.  Column ns of this
+        # matrix turns a bit time's soft symbols into x for next-state ns.
+        self._branch_x = np.ascontiguousarray(
+            1.0 - 2.0 * branch[:, 0, :].T.astype(np.float64)
+        )  # (n_out, n_states)
         # The MSB of the first polynomial taps the current input bit; when
         # set, a clean hard-decision stream can be inverted algebraically.
         self._invertible = bool((self.polys[0] >> (k - 1)) & 1)
@@ -168,12 +167,16 @@ class ConvolutionalCode:
         by row to the seed's per-timestep decoder,
         ``tests/reference/fec.py::viterbi_decode_ref``.
 
-        The kernel exploits the trellis structure instead of gathering:
-        with ``ns = bit * 2^(K-2) + low`` the two predecessors of ``ns``
-        are ``2*low`` and ``2*low + 1`` regardless of ``bit``, so the
-        path-metric spread is a reshape broadcast, and all branch metrics
-        are precomputed in chunked matmuls rather than one small GEMV per
-        bit time.  Frames are processed in chunks so the decision buffer
+        The kernel runs the trellis as butterflies, with no gather: with
+        ``ns = bit * 2^(K-2) + low`` the two predecessors of ``ns`` are
+        ``2*low`` and ``2*low + 1`` regardless of ``bit``, and because
+        every generator taps the oldest bit their branch metrics are
+        ``x`` and exactly ``-x``.  One matmul per block of
+        ``_TIME_BLOCK`` bit times gives ``x`` for every next state; a
+        bit time is then two broadcast adds, a compare and a maximum.
+        The traceback turns the decisions into a predecessor table in
+        place and walks it with one ``take`` per bit time.  Frames are
+        processed in chunks of ``_FRAME_CHUNK`` so the decision buffer
         stays bounded for fleet-sized batches.
         """
         soft = np.asarray(soft_bits, dtype=np.float64)
@@ -252,56 +255,68 @@ class ConvolutionalCode:
             self._inverse_impulse = g
         return self._inverse_impulse[:total]
 
+    #: bit times whose branch metrics one matmul computes
+    _TIME_BLOCK = 16
+
     def _decode_soft_kernel(self, soft: np.ndarray, total: int) -> np.ndarray:
         """Batched forward ACS + traceback over one frame chunk."""
         n = soft.shape[0]
         s = self.n_states
         half = s // 2
-        # (time, frame, coded-bit) layout, then one matmul for the 2^n_out
-        # distinct branch-metric values per (time, frame) — the full
-        # per-branch table would be s*2/2^n_out times larger and blow the
-        # cache for fleet-sized batches.
+        block = min(self._TIME_BLOCK, total)
+        # (time, frame, coded-bit) layout, so a block of bit times is one
+        # contiguous (block * n, n_out) operand of the branch matmul.
         symbols = np.ascontiguousarray(
             soft.reshape(n, total, self.n_out).transpose(1, 0, 2)
-        )
-        combos = (
-            symbols.reshape(total * n, self.n_out) @ self._pattern_bipolar
-        ).reshape(total, n, -1)
-        pattern = self._branch_pattern  # (s*2,) in trellis order
+        ).reshape(total * n, self.n_out)
+        x = np.empty((block, n, 2, half))
 
-        metrics = np.full((n, s), -np.inf)
-        metrics[:, 0] = 0.0  # every encoder starts zero-filled
+        # State ns = bit*half + low has predecessors 2*low (branch metric
+        # x) and 2*low + 1 (metric -x) for both values of bit, so both
+        # candidates broadcast one (n, 1, half) view of the old metrics.
+        metrics = np.full((n, 2, half), -np.inf)
+        metrics[:, 0, 0] = 0.0  # every encoder starts zero-filled
+        m_even = metrics.reshape(n, half, 2)[:, None, :, 0]
+        m_odd = metrics.reshape(n, half, 2)[:, None, :, 1]
+        c0 = np.empty((n, 2, half))
+        c1 = np.empty((n, 2, half))
         decisions = np.empty((total, n, 2, half), dtype=bool)
-        step = np.empty((n, s * 2))
-        cand = step.reshape(n, 2, half, 2)
 
-        for t in range(total):
-            # Branch metrics for every branch: one cached gather.
-            np.take(combos[t], pattern, axis=1, out=step)
-            # Predecessors of ns = bit*half + low are 2*low and
-            # 2*low + 1 for both values of bit: a reshape, no gather.
-            cand += metrics.reshape(n, 1, half, 2)
-            c0 = cand[..., 0]
-            c1 = cand[..., 1]
-            # Strict > resolves ties to predecessor 0, matching the
-            # scalar reference's argmax.
-            np.greater(c1, c0, out=decisions[t])
-            np.maximum(c0, c1, out=metrics.reshape(n, 2, half))
+        for t0 in range(0, total, block):
+            b = min(block, total - t0)
+            np.matmul(
+                symbols[t0 * n : (t0 + b) * n],
+                self._branch_x,
+                out=x[:b].reshape(b * n, s),
+            )
+            for i in range(b):
+                # m - x equals m + (-x) exactly, and strict > resolves
+                # ties to predecessor 0 like the reference's argmax.
+                np.add(m_even, x[i], out=c0)
+                np.subtract(m_odd, x[i], out=c1)
+                np.greater(c1, c0, out=decisions[t0 + i])
+                np.maximum(c0, c1, out=metrics)
 
-        # The flush bits force every encoder back to state 0; walk the
-        # survivors backwards.  State arithmetic replaces table gathers:
-        # input bit = ns >> (K-2), predecessor = 2*(ns & (half-1)) + choice.
-        shift = self.constraint - 2
-        low_mask = half - 1
-        state = np.zeros(n, dtype=np.intp)
-        rows = np.arange(n)
-        out = np.empty((n, total), dtype=np.uint8)
-        dec_flat = decisions.reshape(total, n, s)
-        for t in range(total - 1, -1, -1):
-            out[:, t] = state >> shift
-            choice = dec_flat[t, rows, state]
-            state = ((state & low_mask) << 1) + choice
-        return out
+        # Turn each decision into its predecessor 2*(ns & (half-1)) +
+        # decision, in place while it fits a byte, then walk back from
+        # state 0 (the flush bits end every frame there): one take per
+        # bit time.  The input bit of state ns is ns >> (K-2).
+        base = 2 * (np.arange(s) & (half - 1))
+        table = decisions.reshape(total, n, s)
+        if s <= 256:
+            table = table.view(np.uint8)
+            table += base.astype(np.uint8)
+        else:
+            table = table + base.astype(np.uint16)
+        preds = table.reshape(total, n * s)
+        offsets = np.arange(n) * s
+        index = np.empty(n, dtype=np.intp)
+        states = np.empty((total, n), dtype=preds.dtype)
+        states[total - 1] = 0
+        for t in range(total - 1, 0, -1):
+            np.add(offsets, states[t], out=index)
+            preds[t].take(index, out=states[t - 1])
+        return (states >> (self.constraint - 2)).T.astype(np.uint8)
 
 
 #: Quiet's ``v27``: K=7 rate-1/2 NASA-standard code.

@@ -5,30 +5,21 @@ frame acceptance after FEC decoding: a frame whose checksum fails is a
 *lost frame* in the paper's terminology.  CRC-16-CCITT and CRC-8 are used
 by the lighter-weight control paths (SMS protocol, RDS groups).
 
-All three are table-driven implementations built here rather than taken
-from :mod:`zlib`, so that the bit conventions are explicit and testable.
+CRC-32 and CRC-16 come from the standard library's C implementations
+(:func:`zlib.crc32`, :func:`binascii.crc_hqx`); the table-driven code
+they replaced stays in ``tests/reference/crc.py``, which spells out the
+bit conventions and against which the tests pin both.  CRC-8 has no
+standard-library form and stays table-driven here.
 """
 
 from __future__ import annotations
 
+import binascii
+import zlib
+
 import numpy as np
 
 __all__ = ["crc32_ieee", "crc16_ccitt", "crc8"]
-
-
-def _reflected_table(poly: int, width: int) -> np.ndarray:
-    """Build a 256-entry table for a reflected (LSB-first) CRC."""
-    mask = (1 << width) - 1
-    table = np.zeros(256, dtype=np.uint64)
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ poly
-            else:
-                crc >>= 1
-        table[byte] = crc & mask
-    return table
 
 
 def _forward_table(poly: int, width: int) -> np.ndarray:
@@ -47,8 +38,6 @@ def _forward_table(poly: int, width: int) -> np.ndarray:
     return table
 
 
-_CRC32_TABLE = _reflected_table(0xEDB88320, 32)
-_CRC16_TABLE = _forward_table(0x1021, 16)
 _CRC8_TABLE = _forward_table(0x07, 8)
 
 
@@ -58,18 +47,12 @@ def crc32_ieee(data: bytes | bytearray, initial: int = 0) -> int:
     ``initial`` allows incremental computation over chunked input:
     ``crc32_ieee(b, crc32_ieee(a)) == crc32_ieee(a + b)``.
     """
-    crc = (initial ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    for byte in bytes(data):
-        crc = int(_CRC32_TABLE[(crc ^ byte) & 0xFF]) ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+    return zlib.crc32(data, initial)
 
 
 def crc16_ccitt(data: bytes | bytearray, initial: int = 0xFFFF) -> int:
     """CRC-16/CCITT-FALSE, MSB-first with init 0xFFFF."""
-    crc = initial & 0xFFFF
-    for byte in bytes(data):
-        crc = (int(_CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]) ^ (crc << 8)) & 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, initial)
 
 
 def crc8(data: bytes | bytearray, initial: int = 0) -> int:

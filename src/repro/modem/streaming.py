@@ -173,6 +173,15 @@ class StreamingReceiver:
         rel_start = frame_start - self._buffer_start
         if self._frames_per_burst is not None:
             n_frames = min(self._frames_per_burst, max_symbols // per_frame)
+            # A broadcast's last burst may be short: stop at the frame
+            # that holds the last slot with in-band energy, so trailing
+            # silence neither counts as lost frames nor enters the
+            # burst's noise estimate.  Only those slots are read, so the
+            # count is the same for every chunking.
+            active = modem._count_active_symbols(
+                self._buffer, rel_start, n_frames * per_frame
+            )
+            n_frames = min(n_frames, max(1, -(-active // per_frame)))
         else:
             active = modem._count_active_symbols(
                 self._buffer, rel_start, max_symbols

@@ -7,6 +7,8 @@ the two on fresh inputs:
 
 * ``fec`` — the seed's scalar Reed-Solomon codec and Viterbi decoder,
   and the ``np.convolve`` convolutional encoder;
+* ``crc`` — the table-driven CRC-32 and CRC-16 that the standard
+  library's ``zlib.crc32`` and ``binascii.crc_hqx`` replaced;
 * ``swebp`` — the whole-image SWebp encoder and the seed's sequential
   token walk;
 * ``modems`` — the seed's per-symbol FSK, GMSK and AudioQR receivers;

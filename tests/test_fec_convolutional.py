@@ -38,6 +38,12 @@ class TestEncoder:
         with pytest.raises(ValueError):
             ConvolutionalCode(3, (0o171, 0o133))  # polys too wide
 
+    def test_generator_without_oldest_tap_rejected(self):
+        # The decoder's butterfly needs every generator to tap the
+        # oldest bit (bit 0); 0b110 taps only the two newest.
+        with pytest.raises(ValueError, match="oldest bit"):
+            ConvolutionalCode(3, (0b111, 0b110))
+
 
 class TestViterbi:
     @settings(max_examples=20, deadline=None)

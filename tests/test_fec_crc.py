@@ -1,4 +1,4 @@
-"""CRC implementations against reference values and zlib."""
+"""CRC implementations against reference values, zlib and the tables."""
 
 import zlib
 
@@ -6,6 +6,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.fec.crc import crc8, crc16_ccitt, crc32_ieee
+from tests.reference.crc import crc16_ccitt_ref, crc32_ieee_ref
+
+_CHUNKS = st.lists(st.binary(max_size=1000), min_size=1, max_size=4)
+
+
+class TestMatchesTableReference:
+    """The standard-library CRCs equal the table-driven ones they replaced,
+    chunk by chunk, with each chunk's CRC the next chunk's ``initial``."""
+
+    @given(_CHUNKS, st.integers(0, 0xFFFFFFFF))
+    def test_crc32_chained(self, chunks, initial):
+        crc = ref = initial
+        for chunk in chunks:
+            crc = crc32_ieee(chunk, crc)
+            ref = crc32_ieee_ref(chunk, ref)
+            assert crc == ref
+
+    @given(_CHUNKS, st.integers(0, 0xFFFF))
+    def test_crc16_chained(self, chunks, initial):
+        crc = ref = initial
+        for chunk in chunks:
+            crc = crc16_ccitt(chunk, crc)
+            ref = crc16_ccitt_ref(chunk, ref)
+            assert crc == ref
 
 
 class TestCrc32:

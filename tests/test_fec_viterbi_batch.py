@@ -8,18 +8,28 @@ internal path:
 
 * hard-decision-perfect inputs (the algebraic clean-codeword fast path),
 * inputs with exact-zero soft values (which must *bypass* the fast path),
-* hard ties between trellis predecessors, and
+* hard ties between trellis predecessors,
+* frames that span several branch-metric time blocks, and
 * batches larger than the ACS chunk size.
+
+``CODES`` holds both of Quiet's codes and a K=3 code, whose 4-state
+trellis puts the butterfly's predecessor arithmetic at its smallest.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fec.convolutional import CONV_V27, CONV_V29
+from repro.fec.convolutional import CONV_V27, CONV_V29, ConvolutionalCode
+from repro.modem.modem import Modem
 from tests.reference.fec import viterbi_decode_ref
 
-CODES = {"v27": CONV_V27, "v29": CONV_V29}
+CODES = {
+    "v27": CONV_V27,
+    "v29": CONV_V29,
+    "k3": ConvolutionalCode(3, (0b111, 0b101)),
+}
+_BLOCK = ConvolutionalCode._TIME_BLOCK
 
 
 @pytest.mark.parametrize("name", CODES)
@@ -75,6 +85,22 @@ class TestBatchMatchesReference:
         for i in range(soft.shape[0]):
             assert (batch[i] == viterbi_decode_ref(code, soft[i], 48)).all()
 
+    @pytest.mark.parametrize(
+        "total", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 100]
+    )
+    def test_frames_across_time_blocks(self, name, total):
+        """Frames of ``total`` bit times, below, at and past the edges of
+        the branch-metric time blocks."""
+        code = CODES[name]
+        n_info = total - (code.constraint - 1)
+        rng = np.random.default_rng(total)
+        bits = rng.integers(0, 2, (3, n_info), dtype=np.uint8)
+        soft = 1.0 - 2.0 * code.encode_batch(bits).astype(np.float64)
+        soft += rng.normal(0.0, 0.9, soft.shape)
+        batch = code.decode_soft_batch(soft, n_info)
+        for i in range(soft.shape[0]):
+            assert (batch[i] == viterbi_decode_ref(code, soft[i], n_info)).all()
+
 
 class TestBatchMechanics:
     def test_wrapper_equals_batch_row(self):
@@ -87,6 +113,36 @@ class TestBatchMechanics:
             code.decode_soft(soft, 80)
             == code.decode_soft_batch(soft[None, :], 80)[0]
         ).all()
+
+    def test_handset_frame_at_7_db(self):
+        """The handset's v29 frame (960 info bits, 968 bit times) as the
+        OFDM demapper hands it over from the wire delivery's 7 dB
+        channel: many time blocks, and every frame misses the
+        clean-codeword shortcut."""
+        modem = Modem()
+        rng = np.random.default_rng(17)
+        n_frames = 4
+        wave = modem.transmit_burst(
+            [rng.bytes(modem.frame_payload_size) for _ in range(n_frames)]
+        )
+        sigma = np.sqrt(np.mean(wave**2) / 10.0 ** (7.0 / 10.0))
+        noisy = wave + rng.normal(0.0, sigma, wave.size)
+        demod = modem.phy.demodulate(
+            noisy,
+            modem._preamble.size + modem.profile.guard_samples,
+            n_frames * modem._n_payload_symbols,
+        )
+        soft = modem.phy.constellation.demap_soft(
+            demod.data_symbols.reshape(-1), demod.noise_var
+        ).reshape(n_frames, -1)[:, : modem.codec.frame_bits]
+        code = CONV_V29
+        n_info = soft.shape[1] // code.n_out - (code.constraint - 1)
+        assert n_info == 960
+        hard = (soft < 0).astype(np.uint8)
+        batch = code.decode_soft_batch(soft, n_info)
+        for i in range(n_frames):
+            assert (code.encode(batch[i]) != hard[i]).any()  # full trellis
+            assert (batch[i] == viterbi_decode_ref(code, soft[i], n_info)).all()
 
     def test_batch_larger_than_chunk(self):
         code = CONV_V27

@@ -128,6 +128,40 @@ class TestRandomChunkSizes:
             rx.push(wave[:100])
 
 
+class TestShortFinalBurst:
+    """A broadcast's last burst may hold fewer than ``frames_per_burst``
+    frames; the silence after it is not a frame."""
+
+    @pytest.fixture(scope="class")
+    def broadcast(self):
+        """18 clean frames as bursts of 16 + 2, then a full burst's
+        length of silence, so every slot of a 16-frame burst is there."""
+        modem = Modem("sonic-ofdm")
+        rng = np.random.default_rng(18)
+        payloads = [rng.bytes(modem.frame_payload_size) for _ in range(18)]
+        guard = np.zeros(modem.profile.guard_samples)
+        wave = np.concatenate([
+            modem.transmit_burst(payloads[:16]),
+            guard,
+            modem.transmit_burst(payloads[16:]),
+            np.zeros(modem.burst_samples(16)),
+        ])
+        return modem, wave, payloads
+
+    def test_streaming_receiver(self, broadcast):
+        modem, wave, payloads = broadcast
+        rx = StreamingReceiver(modem, frames_per_burst=16)
+        frames = [f for chunk in np.array_split(wave, 9) for f in rx.push(chunk)]
+        frames += rx.finish()
+        assert (rx.frames_decoded, rx.frames_ok) == (18, 18)
+        assert [f.payload for f in frames] == payloads
+
+    def test_modem_receive(self, broadcast):
+        modem, wave, payloads = broadcast
+        frames = modem.receive(wave, frames_per_burst=16)
+        assert [f.payload for f in frames] == payloads
+
+
 # -- message-framed modem family (FSK / GMSK / AudioQR) ---------------------
 
 FAMILY = {
