@@ -66,7 +66,10 @@ class StreamingReceiver:
         self._detector = StreamingPeakDetector(
             modem.SYNC_THRESHOLD, modem._preamble.size
         )
-        self._buffer = np.zeros(0)
+        # _buffer is a view of the filled part of _store, which grows by
+        # doubling and ends at _hi.
+        self._store = self._buffer = np.zeros(0)
+        self._hi = 0
         self._buffer_start = 0  # absolute index of _buffer[0]
         self._peaks: deque[tuple[int, float]] = deque()  # finalised, undecoded
         self._finished = False
@@ -84,10 +87,7 @@ class StreamingReceiver:
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.size:
             self.total_pushed += chunk.size
-            self._buffer = (
-                np.concatenate([self._buffer, chunk]) if self._buffer.size
-                else chunk.copy()
-            )
+            self._append(chunk)
         self._peaks.extend(self._detector.push(*self._correlator.push(chunk)))
         frames = self._drain(eos=False)
         self._trim()
@@ -103,7 +103,8 @@ class StreamingReceiver:
         self._peaks.extend(self._detector.finish())
         self.max_buffer_samples = max(self.max_buffer_samples, self._buffer.size)
         frames = self._drain(eos=True)
-        self._buffer = np.zeros(0)
+        self._store = self._buffer = np.zeros(0)
+        self._hi = 0
         self._buffer_start = self.total_pushed
         return frames
 
@@ -207,6 +208,22 @@ class StreamingReceiver:
         return frames
 
     # -- memory ----------------------------------------------------------
+
+    def _append(self, chunk: np.ndarray) -> None:
+        """Copy ``chunk`` after the buffered samples.
+
+        Only the new samples are copied, unless the storage is full: then
+        the buffered samples move to the front of new storage twice the
+        size of them and the chunk, so a sample moves O(1) times.
+        """
+        hi, n, kept = self._hi, chunk.size, self._buffer.size
+        if hi + n > self._store.size:
+            store = np.empty(2 * (kept + n))
+            store[:kept] = self._buffer
+            self._store, hi = store, kept
+        self._store[hi : hi + n] = chunk
+        self._hi = hi + n
+        self._buffer = self._store[hi - kept : hi + n]
 
     def _trim(self) -> None:
         """Discard buffered samples no future decode can touch."""

@@ -276,11 +276,15 @@ class RequestFrontend:
         self.stats = FrontendStats()
         self._url_to_index = {u: i for i, u in enumerate(resolver.urls)}
         self._active: dict[int, int] = {}  # url_index -> queued epoch
-        self._waiting: dict[int, list[np.ndarray]] = {}  # url_index -> req ids
-        # Parked requests per URL, oldest first, as (park seq, req_id).
-        self._deferred: dict[int, deque[tuple[int, int]]] = {}
-        self._n_deferred = 0  # parked requests over every URL
-        self._park_seq = 0
+        # url_index -> ids of the requests waiting for its broadcast; the
+        # same keys as _active.
+        self._waiting: dict[int, list[int]] = {}
+        # The waiting lists of the pages on air at their version of
+        # _live_hour: the pages a request of that hour coalesces onto.
+        self._live: dict[int, list[int]] = {}
+        self._live_hour = -1
+        # Parked requests as (req_id, url_index), oldest first.
+        self._parked: deque[tuple[int, int]] = deque()
         self._tick = 0  # completed tick boundaries; sim now = _tick * tick_s
         self._prefetched_hour = -1  # last hour handed to prefetch_hour
 
@@ -291,6 +295,22 @@ class RequestFrontend:
     def _versions(self, hour: int) -> list[int]:
         """Every page's version at ``hour``, indexed like ``resolver.urls``."""
         return self.resolver.generator.versions(hour).tolist()
+
+    def _on_air(self, hour: int, versions: list[int]) -> dict[int, list[int]]:
+        """The waiting lists of the pages on air at their version of ``hour``.
+
+        Kept between calls: the hour's first call builds it from
+        ``_active``, and enqueues and completions keep it up to date.
+        """
+        if hour != self._live_hour:
+            waiting = self._waiting
+            self._live = {
+                u: waiting[u]
+                for u, epoch in self._active.items()
+                if epoch == versions[u]
+            }
+            self._live_hour = hour
+        return self._live
 
     # -- tick clock ------------------------------------------------------------
 
@@ -309,7 +329,7 @@ class RequestFrontend:
             t = self._tick * cfg.tick_s
             for url in finished:
                 self._complete(url, t)
-            if self._n_deferred:
+            if self._parked:
                 self._retry_deferred(t)
             # While hour h broadcasts, idle workers pre-render the pages
             # whose epoch rolls over at h+1 — store warming only, so
@@ -329,82 +349,63 @@ class RequestFrontend:
     def _complete(self, url: str, t: float) -> None:
         index = self._url_to_index[url]
         self._active.pop(index, None)
-        arrays = self._waiting.pop(index, None)
-        if arrays:
-            ids = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+        self._live.pop(index, None)
+        ids = self._waiting.pop(index, None)
+        if ids:
             self.ledger.mark_broadcast(ids, t)
-            self.stats.broadcast_requests += int(ids.size)
+            self.stats.broadcast_requests += len(ids)
 
     def _retry_deferred(self, t: float) -> None:
         """FIFO retry of parked requests; stops at the first still-blocked.
 
-        A tick visits each parked URL once, in the order of its oldest
-        parked request: the order in which a request-by-request walk,
-        oldest first, meets the URLs.  All parked URLs not already on
-        air resolve in ONE ``resolve_batch`` up front (sizes are pure in
-        (url, version), so resolving ahead of the walk — even past the
-        point where it blocks — cannot change any outcome).  A URL on
-        air at its version takes its parked requests as they are; any
-        other is enqueued, unless it is new and the backlog cannot take
-        it.  There the walk stops, and only the requests parked
-        before that URL's oldest one are retried: exactly the prefix the
-        request-by-request walk retries.
+        The walk starts at the oldest parked request.  One whose page is
+        on air at its version joins the page's waiting list.  Any other
+        page is resolved where the walk first meets it (sizes are pure
+        in (url, version), so no earlier resolve could change an
+        outcome) and enqueued, unless it is new and the backlog cannot
+        take it: there the walk stops, and the requests before that
+        point are the ones retried.  A tick whose oldest parked request
+        is still blocked costs one resolve.
         """
         cfg = self.config
         hour = int(t // 3600)
         versions = self._versions(hour)
-        active = self._active
-        parked = self._deferred
-        order = sorted(parked, key=lambda u: parked[u][0][0])
-        need = [u for u in order if active.get(u) != versions[u]]
-        sizes: dict[int, int] = {}
-        if need:
-            sizes = dict(zip(need, self.resolver.resolve_batch(need, hour)))
-        stop = math.inf  # park seq of the oldest request still blocked
-        walked: list[int] = []
-        for u in order:
-            epoch = versions[u]
-            if active.get(u) != epoch:
-                size = sizes[u]
+        live = self._on_air(hour, versions)
+        parked = self._parked
+        retried: list[int] = []
+        for rid, u in parked:
+            waiting = live.get(u)
+            if waiting is None:
+                [size] = self.resolver.resolve_batch([u], hour)
                 if (
-                    u not in active
+                    u not in self._active
                     and self.carousel.backlog_bytes() + size > cfg.max_backlog_bytes
                 ):
-                    stop = parked[u][0][0]
                     break
-                self._enqueue_page(u, epoch, size)
-            walked.append(u)
-        if not walked:
+                self._enqueue_page(u, versions[u], size)
+                waiting = live[u]
+            waiting.append(rid)
+            retried.append(rid)
+        if not retried:
             return
-        retried: list[np.ndarray] = []
-        for u in walked:
-            fifo = parked[u]
-            rids = []
-            while fifo and fifo[0][0] < stop:
-                rids.append(fifo.popleft()[1])
-            if not fifo:
-                del parked[u]
-            retried.append(np.array(rids, dtype=np.int64))
-            self._waiting.setdefault(u, []).append(retried[-1])
-        ids = np.concatenate(retried)
-        self.ledger.mark_scheduled(ids, t)
-        self._n_deferred -= ids.size
-        self.stats.retried += int(ids.size)
-
-    def _park(self, req_id: int, index: int) -> None:
-        """Park a request behind backpressure, after every parked one."""
-        self._park_seq += 1
-        self._n_deferred += 1
-        fifo = self._deferred.get(index)
-        if fifo is None:
-            fifo = self._deferred[index] = deque()
-        fifo.append((self._park_seq, req_id))
+        for _ in retried:
+            parked.popleft()
+        self.ledger.mark_scheduled(retried, t)
+        self.stats.retried += len(retried)
 
     # -- dispatch ------------------------------------------------------------
 
     def _enqueue_page(self, index: int, epoch: int, size: int) -> None:
-        replacing = index in self._active
+        """Put a page on air at ``epoch``, its version at the current hour,
+        in place of a queued older version; its waiting list goes live."""
+        waiting = self._waiting.get(index)
+        if waiting is None:
+            waiting = self._waiting[index] = []
+            self.stats.enqueued_pages += 1
+        else:
+            self.stats.replaced_pages += 1
         self._active[index] = epoch
+        self._live[index] = waiting
         self.carousel.enqueue(
             CarouselItem(
                 self.resolver.urls[index],
@@ -413,10 +414,6 @@ class RequestFrontend:
                 digest=f"{index}:{epoch}",
             )
         )
-        if replacing:
-            self.stats.replaced_pages += 1
-        else:
-            self.stats.enqueued_pages += 1
 
     def submit_batch(
         self,
@@ -434,7 +431,9 @@ class RequestFrontend:
         strict arrival order, because backpressure state (backlog, the
         deferral buffer) mutates per request; that replay is what makes
         the outcome stream identical for any batch partitioning,
-        including the serial one-request cohorts.
+        including the serial one-request cohorts.  A request whose page
+        is on air costs one lookup and one append to the page's waiting
+        list, and the ledger takes one insert per outcome.
 
         ``resolved`` may carry URL -> size entries computed ahead of time
         by the render-ahead lookahead; everything it resolves is pure in
@@ -449,69 +448,68 @@ class RequestFrontend:
         stats.submitted += n
         stats.batches += 1
         versions = self._versions(hour)
-        active = self._active
+        live = self._on_air(hour, versions)
+        urls = url_index.tolist()
 
         # One batched resolve per cohort: pure in (url, hour), so *when*
         # it runs relative to the walk below cannot change any outcome.
         if resolved is None:
             resolved = {}
-        need = [
-            u
-            for u in np.unique(url_index).tolist()
-            if u not in resolved and active.get(u) != versions[u]
-        ]
+        need = sorted(u for u in set(urls) if u not in live and u not in resolved)
         if need:
             resolved.update(zip(need, self.resolver.resolve_batch(need, hour)))
 
-        # Arrival-order walk.  Outcomes accumulate into per-URL buckets so
-        # ledger writes and waiting-list appends stay batched.
-        q_ids: dict[int, list] = {}
-        q_ts: dict[int, list] = {}
-        d_ids: dict[int, list] = {}
-        d_ts: dict[int, list] = {}
-        s_ids: dict[int, list] = {}
-        s_ts: dict[int, list] = {}
+        # Arrival-order walk.  Only a request whose page is off air can
+        # change state; deferred and shed requests are kept by position.
+        ids = req_ids.tolist()
+        active = self._active
+        parked = self._parked
         backlog_limit = cfg.max_backlog_bytes
         defer_capacity = cfg.defer_capacity
         backlog_bytes = self.carousel.backlog_bytes
-        for rid, u, ts in zip(
-            req_ids.tolist(), url_index.tolist(), times.tolist()
-        ):
-            if active.get(u) == versions[u]:
-                # On air at its current version — either before this
-                # cohort or enqueued earlier in this walk.
-                q_ids.setdefault(u, []).append(rid)
-                q_ts.setdefault(u, []).append(ts)
-                stats.coalesced += 1
-            elif u in active or backlog_bytes() + resolved[u] <= backlog_limit:
-                # A fresh version of an already-queued page replaces it in
-                # place (no saturation check: its airtime is already
-                # committed); a new page must clear the backlog threshold.
-                self._enqueue_page(u, versions[u], resolved[u])
-                q_ids.setdefault(u, []).append(rid)
-                q_ts.setdefault(u, []).append(ts)
-            elif self._n_deferred < defer_capacity:
-                self._park(rid, u)
-                stats.deferred += 1
-                if self._n_deferred > stats.peak_deferred:
-                    stats.peak_deferred = self._n_deferred
-                d_ids.setdefault(u, []).append(rid)
-                d_ts.setdefault(u, []).append(ts)
-            else:
-                stats.shed += 1
-                s_ids.setdefault(u, []).append(rid)
-                s_ts.setdefault(u, []).append(ts)
+        enqueued = 0
+        deferred: list[int] = []
+        shed: list[int] = []
+        for i, u in enumerate(urls):
+            waiting = live.get(u)
+            if waiting is None:
+                if u in active or backlog_bytes() + resolved[u] <= backlog_limit:
+                    # A fresh version of an already-queued page replaces
+                    # it in place (no saturation check: its airtime is
+                    # already committed); a new page must clear the
+                    # backlog threshold.
+                    self._enqueue_page(u, versions[u], resolved[u])
+                    waiting = live[u]
+                    enqueued += 1
+                elif len(parked) < defer_capacity:
+                    parked.append((ids[i], u))
+                    deferred.append(i)
+                    continue
+                else:
+                    shed.append(i)
+                    continue
+            waiting.append(ids[i])
 
+        stats.coalesced += n - enqueued - len(deferred) - len(shed)
+        stats.deferred += len(deferred)
+        stats.shed += len(shed)
+        if len(parked) > stats.peak_deferred:
+            stats.peak_deferred = len(parked)
         ledger = self.ledger
-        for u, rids in q_ids.items():
-            self._waiting.setdefault(u, []).append(
-                np.asarray(rids, dtype=np.int64)
+        if not (deferred or shed):
+            ledger.insert(req_ids, url_index, times, t, t, "queued")
+            return
+        queued = np.ones(n, dtype=bool)
+        for rows, status in ((deferred, "deferred"), (shed, "shed")):
+            if rows:
+                queued[rows] = False
+                ledger.insert(
+                    req_ids[rows], url_index[rows], times[rows], t, None, status
+                )
+        if queued.any():
+            ledger.insert(
+                req_ids[queued], url_index[queued], times[queued], t, t, "queued"
             )
-            ledger.insert(rids, u, q_ts[u], t, t, "queued")
-        for u, rids in d_ids.items():
-            ledger.insert(rids, u, d_ts[u], t, None, "deferred")
-        for u, rids in s_ids.items():
-            ledger.insert(rids, u, s_ts[u], t, None, "shed")
 
     # -- drivers ------------------------------------------------------------
 
@@ -598,7 +596,7 @@ class RequestFrontend:
             (trace.duration_s + cfg.drain_grace_hours * 3600.0) / cfg.tick_s
         )
         while (
-            self.carousel.queue_length() or self._n_deferred
+            self.carousel.queue_length() or self._parked
         ) and self._tick < horizon:
             self.advance_to_tick(self._tick + 1)
         self.ledger.commit()
@@ -639,7 +637,7 @@ class RequestFrontend:
             "submitted": s.submitted,
             "queue_depth_pages": self.carousel.queue_length(),
             "backlog_mb": self.carousel.backlog_bytes() / 1e6,
-            "deferred": self._n_deferred,
+            "deferred": len(self._parked),
             "mean_batch": s.mean_batch_size,
             "coalesce_ratio": s.coalesce_ratio,
             "shed": s.shed,

@@ -117,8 +117,9 @@ class RequestLedger:
         # groups per simulated hour, so a call only appends to lists.  No
         # per-row object outlives the flush that folds them in.
         self._ids: list[int] = []
+        self._urls: list[int] = []
         self._submitted: list[float] = []
-        # Five entries per group: rows, url, acked, scheduled, status.
+        # Four entries per group: rows, acked, scheduled, status.
         self._groups: list = []
         self._marks: list[tuple] = []  # (ids, t, status, rows buffered before)
         self._conn: sqlite3.Connection | None = None
@@ -155,13 +156,16 @@ class RequestLedger:
     def insert(
         self,
         req_ids: np.ndarray | list[int],
-        url_index: int,
+        url_index: int | np.ndarray | list[int],
         submitted_at: np.ndarray | list[float],
         acked_at: float | None,
         scheduled_at: float | None,
         status: str,
     ) -> None:
-        """Record one dispatch group (uniform URL and outcome)."""
+        """Record one dispatch group (uniform outcome).
+
+        ``url_index`` is one URL for every row, or one per row.
+        """
         code = _CODES.get(status)
         if code is None:
             raise ValueError(f"unknown status {status!r}")
@@ -169,11 +173,19 @@ class RequestLedger:
             req_ids = np.asarray(req_ids).tolist()
         if not isinstance(submitted_at, list):
             submitted_at = np.asarray(submitted_at, dtype=np.float64).tolist()
-        if len(req_ids) != len(submitted_at):
-            raise ValueError("req_ids and submitted_at differ in length")
+        n = len(req_ids)
+        if isinstance(url_index, (int, np.integer)):
+            urls = [int(url_index)] * n
+        elif isinstance(url_index, list):
+            urls = url_index
+        else:
+            urls = np.asarray(url_index).tolist()
+        if len(urls) != n or len(submitted_at) != n:
+            raise ValueError("req_ids, url_index and submitted_at differ in length")
         self._ids += req_ids
+        self._urls += urls
         self._submitted += submitted_at
-        self._groups += (len(req_ids), int(url_index), acked_at, scheduled_at, code)
+        self._groups += (n, acked_at, scheduled_at, code)
 
     def mark_scheduled(self, req_ids: np.ndarray, t: float) -> None:
         """A deferred request made it onto the carousel after all."""
@@ -202,23 +214,24 @@ class RequestLedger:
         groups, marks = self._groups, self._marks
         if not (groups or marks):
             return
-        ids, submitted = self._ids, self._submitted
-        self._ids, self._submitted, self._groups, self._marks = [], [], [], []
+        ids, urls, submitted = self._ids, self._urls, self._submitted
+        self._ids, self._urls, self._submitted = [], [], []
+        self._groups, self._marks = [], []
         n0 = self._n
         if groups:
-            sizes = groups[0::5]
+            sizes = groups[0::4]
 
             def per_row(values: list, dtype) -> np.ndarray:
                 return np.repeat(np.array(values, dtype=dtype), sizes)
 
             self._append([
                 np.array(ids, dtype=np.int64),
-                per_row(groups[1::5], np.int64),
+                np.array(urls, dtype=np.int64),
                 np.array(submitted, dtype=np.float64),
-                per_row(groups[2::5], np.float64),
-                per_row(groups[3::5], np.float64),
+                per_row(groups[1::4], np.float64),
+                per_row(groups[2::4], np.float64),
                 np.full(len(ids), np.nan),
-                per_row(groups[4::5], np.int8),
+                per_row(groups[3::4], np.int8),
             ])
         if marks:
             rows = self._apply_marks(marks, n0)

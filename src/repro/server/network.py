@@ -257,9 +257,10 @@ def _step_station_epoch(
     n_arrivals = int(times.size)
     for k in range(ticks):
         t_end = t0 + (k + 1) * tick_s
-        # Ingest this tick's SMS arrivals, in arrival order.
-        queued: dict[int, tuple[list[int], list[float]]] = {}
-        shed: dict[int, tuple[list[int], list[float]]] = {}
+        # Ingest this tick's SMS arrivals, in arrival order; each outcome
+        # keeps its rows as (req_ids, url_indices, times).
+        queued: tuple[list[int], list[int], list[float]] = ([], [], [])
+        shed: tuple[list[int], list[int], list[float]] = ([], [], [])
         while cursor < n_arrivals and times[cursor] < t_end:
             u = int(url_idx[cursor])
             rid = int(req_ids[cursor])
@@ -269,16 +270,13 @@ def _step_station_epoch(
                 # Page already queued for earlier requesters: coalesce
                 # (the repeat enqueue below only bumps priority).
                 core.pending[u].append(rid)
-                queued.setdefault(u, ([], []))[0].append(rid)
-                queued[u][1].append(at)
+                rows = queued
             elif carousel.backlog_bytes() > MAX_BACKLOG_BYTES:
                 core.n_shed += 1
-                shed.setdefault(u, ([], []))[0].append(rid)
-                shed[u][1].append(at)
+                rows = shed
             else:
                 core.pending[u] = [rid]
-                queued.setdefault(u, ([], []))[0].append(rid)
-                queued[u][1].append(at)
+                rows = queued
                 carousel.enqueue(
                     CarouselItem(
                         core.urls[u],
@@ -287,11 +285,14 @@ def _step_station_epoch(
                         digest=f"{u}|{int(versions[u])}",
                     )
                 )
+            rows[0].append(rid)
+            rows[1].append(u)
+            rows[2].append(at)
             cursor += 1
-        for u, (rids, ats) in queued.items():
-            ops.append(("insert", rids, u, ats, t_end, t_end, "queued"))
-        for u, (rids, ats) in shed.items():
-            ops.append(("insert", rids, u, ats, t_end, None, "shed"))
+        if queued[0]:
+            ops.append(("insert", *queued, t_end, t_end, "queued"))
+        if shed[0]:
+            ops.append(("insert", *shed, t_end, None, "shed"))
 
         completed = carousel.drain(tick_s)
         done_ids: list[int] = []
@@ -505,8 +506,8 @@ class BroadcastNetwork:
     def _apply_ops(self, ledger: RequestLedger, ops: list[tuple]) -> None:
         for op in ops:
             if op[0] == "insert":
-                _, rids, u, ats, acked, scheduled, status = op
-                ledger.insert(rids, u, ats, acked, scheduled, status)
+                _, rids, urls, ats, acked, scheduled, status = op
+                ledger.insert(rids, urls, ats, acked, scheduled, status)
             else:
                 _, rids, t = op
                 ledger.mark_broadcast(np.asarray(rids), t)

@@ -12,13 +12,17 @@ from repro.server.frontend import (
 from repro.server.ledger import RequestLedger
 from repro.sim.workload import RequestTraceConfig, RequestTrace, generate_requests
 from repro.web.sites import SiteGenerator
-from tests.reference.frontend import RescanFrontend
+from tests.reference.frontend import ResolveAheadFrontend
 
 
 def _resolver(max_page_bytes=12 * 1024, seed=7):
     return SizeModelResolver(
         SiteGenerator(seed=seed, n_sites=25), max_page_bytes=max_page_bytes
     )
+
+
+#: ``SizeModelResolver`` (hits, misses) of ``test_sms_flood_like_day``.
+PINNED_COUNTERS = (7_218, 132)
 
 
 def _trace(**overrides) -> RequestTrace:
@@ -174,27 +178,36 @@ class TestBackpressure:
 
 
 class TestRetryMatchesRescan:
-    """Parked requests kept per URL retry exactly like one FIFO walked
-    request by request (``tests/reference/frontend.py``)."""
+    """Parked requests in one FIFO walked to its block point, with a URL
+    resolved only where the walk meets it off air, give the ledger,
+    every stats field and the health of the per-URL retry that resolved
+    ahead of its walk (``tests/reference/frontend.py``).  The resolver
+    counters may only fall: no more misses, no more resolves."""
 
     @staticmethod
     def _outcomes(cls, trace, config, serial, max_page_kb):
         fe = cls(_resolver(max_page_bytes=max_page_kb * 1024), config)
         result = fe.run(trace, serial=serial)
-        return (
-            fe.ledger.digest(),
-            result.stats,
-            result.store_hits,
-            result.store_misses,
-            fe.health(),
-        )
+        outcome = (fe.ledger.digest(), result.stats, fe.health())
+        return outcome, (result.store_hits, result.store_misses)
+
+    def _check(self, trace, config, serial, max_page_kb):
+        """The front end's outcome and counters, checked against the
+        reference's."""
+        args = (trace, config, serial, max_page_kb)
+        outcome, (hits, misses) = self._outcomes(RequestFrontend, *args)
+        expected, (ref_hits, ref_misses) = self._outcomes(ResolveAheadFrontend, *args)
+        assert outcome == expected
+        assert misses <= ref_misses
+        assert hits + misses <= ref_hits + ref_misses
+        return outcome, (hits, misses)
 
     def test_sms_flood_like_day(self):
         trace = _trace(n_requests=6_000, hours=1.5)
         config = FrontendConfig(max_backlog_bytes=200_000, defer_capacity=2_000)
-        fast = self._outcomes(RequestFrontend, trace, config, False, 60)
-        assert fast[1].retried > 500 and fast[1].shed > 0
-        assert fast == self._outcomes(RescanFrontend, trace, config, False, 60)
+        (_, stats, _), counters = self._check(trace, config, False, 60)
+        assert stats.retried > 500 and stats.shed > 0
+        assert counters == PINNED_COUNTERS
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -215,9 +228,54 @@ class TestRetryMatchesRescan:
             defer_capacity=defer_capacity,
             max_batch=max_batch,
         )
-        assert self._outcomes(
-            RequestFrontend, trace, config, serial, max_page_kb
-        ) == self._outcomes(RescanFrontend, trace, config, serial, max_page_kb)
+        self._check(trace, config, serial, max_page_kb)
+
+
+class _CountingResolver:
+    """Every page costs ``size`` bytes; each ``resolve_batch`` call is kept."""
+
+    def __init__(self, size: int) -> None:
+        self.generator = SiteGenerator(seed=7, n_sites=25)
+        self.urls = self.generator.all_urls()
+        self.size = size
+        self.store_hits = self.store_misses = 0
+        self.calls: list[list[int]] = []
+
+    def resolve_batch(self, url_indices, hour):
+        self.calls.append(list(url_indices))
+        return [self.size] * len(url_indices)
+
+
+class TestRetryResolvesOnlyWhereItWalks:
+    def test_blocked_tick_resolves_one_url_and_a_retry_only_what_it_reached(self):
+        # One 10 kB page fits the backlog and drains over four ticks.
+        # Page 0 goes on air; requests for pages 1, 1, 2, 3, 1 park.
+        resolver = _CountingResolver(10_000)
+        fe = RequestFrontend(
+            resolver, FrontendConfig(rate_bps=2_000.0, max_backlog_bytes=10_000)
+        )
+        fe.submit_batch(
+            np.arange(6, dtype=np.int64),
+            np.array([0, 1, 1, 2, 3, 1]),
+            np.zeros(6),
+        )
+        assert resolver.calls == [[0, 1, 2, 3]]
+        assert fe.stats.deferred == 5
+        tick = 0
+        while fe.stats.retried == 0:
+            resolver.calls.clear()
+            tick += 1
+            fe.advance_to_tick(tick)
+            if fe.stats.retried == 0:
+                # Page 1, at the head, is still blocked behind page 0.
+                assert resolver.calls == [[1]]
+        # Page 0 completed: the walk puts page 1 on air, retries both of
+        # its requests ahead of page 2, and stops at page 2.  Page 3,
+        # behind the block point, is never resolved.
+        assert tick == 4
+        assert resolver.calls == [[1], [2]]
+        assert fe.stats.retried == 2
+        assert fe.health()["deferred"] == 3
 
 
 class TestLedgerIntegration:

@@ -5,6 +5,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -217,6 +218,60 @@ class TestMatchesSqliteReference:
             ledger.mark_scheduled(np.array([3]), float("nan"))  # folds: stays NULL
         assert _reads(led, 0.0, 4.0) == _reads(ref, 0.0, 4.0)
         assert _reads(led, None, None) == _reads(ref, None, None)
+
+
+class TestPerRowUrlIndex:
+    """One ``insert`` of an outcome's rows with a per-row ``url_index``
+    (the front end's and the stations' write) equals one insert per URL."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cohorts=st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12),
+                _STATUS,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        scheduled=st.lists(st.integers(min_value=0, max_value=71), max_size=20),
+        served=st.lists(st.integers(min_value=0, max_value=71), max_size=20),
+    )
+    def test_equals_one_insert_per_url(self, cohorts, scheduled, served):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("rows.sqlite", "urls.sqlite")]
+            per_row, per_url = (RequestLedger(p) for p in paths)
+            first = 0
+            for k, (urls, status) in enumerate(cohorts):
+                ids = list(range(first, first + len(urls)))
+                first += len(urls)
+                times = [10.0 * k + 0.25 * j for j in range(len(urls))]
+                t = 10.0 * (k + 1)
+                at = t if status == "queued" else None
+                per_row.insert(np.array(ids), np.array(urls), np.array(times), t, at, status)
+                for u in dict.fromkeys(urls):
+                    rows = [j for j, v in enumerate(urls) if v == u]
+                    per_url.insert(
+                        [ids[j] for j in rows], u, [times[j] for j in rows], t, at, status
+                    )
+            for led in (per_row, per_url):
+                led.mark_scheduled(np.array(scheduled, dtype=np.int64), 500.0)
+                led.mark_broadcast(np.array(served, dtype=np.int64), 900.0)
+            assert per_row.digest() == per_url.digest()
+            assert per_row.demand_counts() == per_url.demand_counts()
+            assert per_row.demand_counts(5.0, 35.0) == per_url.demand_counts(5.0, 35.0)
+            assert per_row.latencies().tobytes() == per_url.latencies().tobytes()
+            digest = per_url.digest()
+            per_row.close()
+            per_url.close()
+            for path in paths:
+                reopened = RequestLedger(path)
+                assert reopened.digest() == digest
+                reopened.close()
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            RequestLedger().insert([0, 1], [3], [0.0, 1.0], 1.0, 1.0, "queued")
 
 
 def _ops_a(led) -> None:

@@ -18,12 +18,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.server.ledger import RequestLedger
 from repro.server.network import (
     DEFAULT_PROFILE_LADDER,
+    MAX_BACKLOG_BYTES,
     REQUEST_PRIORITY,
     BroadcastNetwork,
     NetworkConfig,
     RegionSpec,
+    _step_station_epoch,
     network_coverage,
     network_partition,
     run_network,
@@ -31,6 +34,7 @@ from repro.server.network import (
 from repro.server.transmitters import Transmitter, TransmitterRegistry
 from repro.sim.geometry import Location, RegionPartition
 from repro.sim.workload import PageSizeModel
+from repro.transport.carousel import CarouselItem
 
 _LAHORE = Location(31.5204, 74.3587)
 _KARACHI = Location(24.8607, 67.0011)
@@ -272,6 +276,40 @@ class TestDemandLoop:
         assert result.store_hits / max(1, result.store_misses) > (
             solo.store_hits / max(1, solo.store_misses)
         )
+
+
+class TestStationLedgerOps:
+    def test_one_insert_op_per_tick_and_outcome(self):
+        # A backlog over the cap sheds every new page; page 5 already has
+        # a requester queued, so requests for it coalesce.
+        network = BroadcastNetwork(NetworkConfig(n_stations=1, seed=3, **_FAST))
+        try:
+            core = next(iter(network.stations.values()))
+            core.carousel.enqueue(
+                CarouselItem("blocker", 2 * MAX_BACKLOG_BYTES, priority=REQUEST_PRIORITY)
+            )
+            core.pending[5] = [10_000]
+            urls = np.array([5, 1, 2, 5, 1, 7, 5, 3, 2])
+            times = np.array([10.0, 20.0, 30.0, 40.0, 700.0, 710.0, 720.0, 730.0, 1300.0])
+            ids = np.arange(urls.size)
+            sizes, versions = network._epoch_pages(0)
+            ops = _step_station_epoch(
+                core, 0, times, urls, ids, sizes, versions, 600.0, 1_000
+            )
+            inserts = [op for op in ops if op[0] == "insert"]
+            ticks_outcomes = [(op[4], op[6]) for op in inserts]
+            assert len(ticks_outcomes) == len(set(ticks_outcomes))
+            assert sorted(ticks_outcomes) == [
+                (600.0, "queued"), (600.0, "shed"), (1200.0, "queued"),
+                (1200.0, "shed"), (1800.0, "shed"),
+            ]
+            ledger = RequestLedger()
+            network._apply_ops(ledger, ops)
+            assert ledger.counts() == {"queued": 3, "shed": 6}
+            assert core.n_shed == 6
+            assert ledger.demand_counts() == {1: 2, 2: 2, 3: 1, 5: 3, 7: 1}
+        finally:
+            network.close()
 
 
 class TestRegistryDeterminism:
