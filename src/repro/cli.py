@@ -299,17 +299,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     The whole Figure 4(c) schedule executes as a dataflow: the hourly
     re-render schedule enqueues pages, the streaming transmitter
-    modulates them burst by burst through the broadcast encode cache,
-    the audio crosses a chunk-capable channel, and a streaming receiver
-    plus page assembler consume it — all in O(chunk) memory, so
-    ``--hours 48 --pages 200`` runs without ever materialising the
-    multi-gigabyte capture.
+    modulates them burst by burst, the audio crosses a chunk-capable
+    channel, and a streaming receiver plus page assembler consume it —
+    all in O(chunk) memory, so ``--hours 48 --pages 200`` runs without
+    ever materialising the multi-gigabyte capture.
     """
     from repro.client.streaming import StreamingPageAssembler
     from repro.core.stream import CarouselFrameSource, StreamSession, WaveformSource
     from repro.modem.modem import Modem
     from repro.modem.streaming import StreamingReceiver
-    from repro.server.transmitters import BroadcastEncodeCache
     from repro.sim.workload import BroadcastWorkload, WorkloadConfig
     from repro.transport.bundle import BundleTransport
     from repro.transport.carousel import BroadcastCarousel
@@ -377,16 +375,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 args.rssi_dbm, peak_estimate=float(np.max(np.abs(probe)))
             )
 
-    # An encoded 16-frame sonic-ofdm burst is 1.03 MB of float64 (an
-    # audible-7k one 2.6 MB), so the cache is sized in single digits of
-    # bursts: it only pays off when the carousel rebroadcasts identical
-    # content (gap-filling cycles), and 0 disables it for workloads that
-    # never repeat a burst.
-    cache = (
-        BroadcastEncodeCache(capacity=args.cache_bursts)
-        if args.cache_bursts > 0
-        else None
-    )
     source = WaveformSource(
         CarouselFrameSource(
             carousel, frames_per_burst=args.frames_per_burst, make_frames=make_frames
@@ -394,7 +382,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         modem,
         chunk_samples=chunk_samples,
         idle_fill=True,
-        cache=cache,
     )
     receiver = StreamingReceiver(modem, frames_per_burst=args.frames_per_burst)
     assembler = StreamingPageAssembler()
@@ -425,10 +412,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         progress_every=args.progress_every,
     )
 
-    hits = cache.stats.burst_hits if cache is not None else 0
-    misses = (
-        cache.stats.burst_misses if cache is not None else source.bursts_encoded
-    )
     print(
         f"\nstreamed {stats.audio_seconds / 3600:.3f} h of audio "
         f"({args.pages} pages at {args.rate / 1000:.0f} kbps, "
@@ -437,8 +420,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     )
     print(
         f"frames: {stats.frames_ok}/{stats.frames_decoded} ok, "
-        f"pages completed: {assembler.pages_completed}, "
-        f"burst cache: {hits} hits / {misses} misses"
+        f"pages completed: {assembler.pages_completed}"
     )
     print(
         f"peak rx buffer: {stats.max_rx_buffer_samples} samples "
@@ -945,8 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rssi-dbm", type=float, default=-70.0)
     p.add_argument("--max-page-kb", type=int, default=12,
                    help="cap synthetic page size (0 = real modelled sizes)")
-    p.add_argument("--cache-bursts", type=int, default=8,
-                   help="burst-level encode cache capacity (0 disables)")
     p.add_argument("--progress-every", type=int, default=200,
                    help="print live counters every N chunks")
     p.set_defaults(func=_cmd_stream)

@@ -6,9 +6,7 @@ module is the transmit half (and the glue) of that dataflow:
 
 * :class:`WaveformSource` — pulls frame bursts from a supply on demand
   and emits fixed-size audio chunks, so a 48-hour broadcast never exists
-  as one array.  Given a burst-level
-  :class:`~repro.server.transmitters.BroadcastEncodeCache` (``repro
-  stream --cache-bursts``), repeat bursts skip FEC + OFDM entirely.
+  as one array.
 * :class:`CarouselFrameSource` — adapts a
   :class:`~repro.transport.carousel.BroadcastCarousel` into that burst
   supply, materialising frame payloads lazily (head item only) so a deep
@@ -33,7 +31,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.modem.modem import Modem, ReceivedFrame
     from repro.modem.streaming import StreamingReceiver
-    from repro.server.transmitters import BroadcastEncodeCache
     from repro.transport.carousel import BroadcastCarousel, CarouselItem
     from repro.transport.framing import Frame
 
@@ -66,7 +63,6 @@ class WaveformSource:
         modem: "Modem",
         chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
         idle_fill: bool = False,
-        cache: "BroadcastEncodeCache | None" = None,
     ) -> None:
         if chunk_samples < 1:
             raise ValueError("chunk_samples must be >= 1")
@@ -74,7 +70,6 @@ class WaveformSource:
         self._modem = modem
         self.chunk_samples = chunk_samples
         self.idle_fill = idle_fill
-        self._cache = cache
         self._fifo: deque[np.ndarray] = deque()
         self._fifo_samples = 0
         self._needs_guard = False  # a burst was just emitted, no idle since
@@ -82,11 +77,6 @@ class WaveformSource:
         self.bursts_encoded = 0
         self.frames_encoded = 0
         self.samples_emitted = 0
-
-    def _encode_burst(self, payloads: "list[bytes]") -> np.ndarray:
-        if self._cache is not None:
-            return self._cache.burst(payloads, self._modem)
-        return self._modem.transmit_burst(payloads)
 
     def _refill(self) -> bool:
         """Pull one burst into the fifo; False when nothing was added."""
@@ -101,7 +91,7 @@ class WaveformSource:
             guard = np.zeros(self._modem.profile.guard_samples)
             self._fifo.append(guard)
             self._fifo_samples += guard.size
-        wave = self._encode_burst(payloads)
+        wave = self._modem.transmit_burst(payloads)
         self._fifo.append(wave)
         self._fifo_samples += wave.size
         self._needs_guard = True

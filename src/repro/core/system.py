@@ -167,8 +167,7 @@ class SonicSystem:
         clock, in O(chunk + burst) memory.  A sent burst is not kept:
         the station's 64-entry encode cache would hold 64 MB of bursts
         that a carousel cycle, far longer than 64 bursts, never reaches
-        again before eviction (``repro stream --cache-bursts`` sizes a
-        burst cache of its own for gap-filling repeats).
+        again before eviction.
         """
         from repro.core.stream import (
             DEFAULT_CHUNK_SAMPLES,

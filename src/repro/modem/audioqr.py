@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dsp.chirp import linear_chirp
-from repro.fec.crc import crc16_ccitt
-from repro.modem.message import MessageStreamingReceiver, PreambleSync
+from repro.fec.crc import pack_u8_frame, unpack_u8_frame
+from repro.modem.message import MessageModem, PreambleSync
 from repro.util.bits import bits_to_bytes, bytes_to_bits
 
 __all__ = ["AudioQrConfig", "AudioQrModem"]
@@ -55,7 +55,7 @@ class AudioQrConfig:
         return int(round(self.symbol_duration_s * self.sample_rate))
 
 
-class AudioQrModem:
+class AudioQrModem(MessageModem):
     """1 bit per chirp: up-chirp = 1, down-chirp = 0."""
 
     MAX_PAYLOAD = 255
@@ -83,8 +83,7 @@ class AudioQrModem:
         """Encode 1..255 bytes as a chirp train."""
         if not 0 < len(payload) <= self.MAX_PAYLOAD:
             raise ValueError(f"payload must be 1..{self.MAX_PAYLOAD} bytes")
-        message = bytes([len(payload)]) + payload + crc16_ccitt(payload).to_bytes(2, "big")
-        bits = bytes_to_bits(message)
+        bits = bytes_to_bits(pack_u8_frame(payload))
         cfg = self.config
         chunks = [self._marker]
         for bit in bits:
@@ -101,33 +100,16 @@ class AudioQrModem:
 
     def decode_attempt(self, body: np.ndarray, eos: bool) -> tuple[str, bytes | None]:
         """Incremental decode of the samples following one marker peak."""
-        n_sym = self.config.symbol_samples
-        header = 8 * n_sym
+        header = 8 * self.config.symbol_samples  # one byte
         if body.size < header:
             return ("done", None) if eos else ("need", header)
         n = int(np.packbits(self._detect_bits(body[:header]))[0])
         if n == 0:
             return ("done", None)
-        total_bits = (1 + n + 2) * 8
-        total = total_bits * n_sym
+        total = (1 + n + 2) * header
         if body.size < total:
             return ("done", None) if eos else ("need", total)
-        stream = bits_to_bytes(self._detect_bits(body[:total]))
-        payload = stream[1 : 1 + n]
-        stored = int.from_bytes(stream[1 + n : 1 + n + 2], "big")
-        if crc16_ccitt(payload) == stored:
-            return ("done", payload)
-        return ("done", None)
-
-    def stream(self) -> MessageStreamingReceiver:
-        """Chunk-fed receiver, bit-identical to :meth:`receive`."""
-        return MessageStreamingReceiver(self)
-
-    def receive(self, samples: np.ndarray) -> list[bytes]:
-        """Decode every message found in ``samples`` (batch path)."""
-        rx = self.stream()
-        messages = rx.push(np.asarray(samples, dtype=np.float64))
-        return messages + rx.finish()
+        return ("done", unpack_u8_frame(bits_to_bytes(self._detect_bits(body[:total]))))
 
     def transmission_seconds(self, payload_len: int) -> float:
         n_bits = (1 + payload_len + 2) * 8

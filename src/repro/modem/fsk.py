@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dsp.chirp import linear_chirp
-from repro.fec.crc import crc16_ccitt
-from repro.modem.message import MessageStreamingReceiver, PreambleSync
+from repro.fec.crc import pack_u8_frame, unpack_u8_frame
+from repro.modem.message import MessageModem, PreambleSync
 
 __all__ = ["FskConfig", "FskModem"]
 
@@ -60,7 +60,7 @@ class FskConfig:
         return self.base_freq_hz + index * self.tone_spacing_hz
 
 
-class FskModem:
+class FskModem(MessageModem):
     """Length-prefixed, CRC-16-protected FSK transceiver."""
 
     MAX_PAYLOAD = 255
@@ -98,9 +98,7 @@ class FskModem:
         """Encode a variable-length payload (<= 255 bytes) into audio."""
         if not 0 < len(payload) <= self.MAX_PAYLOAD:
             raise ValueError(f"payload must be 1..{self.MAX_PAYLOAD} bytes")
-        crc = crc16_ccitt(payload)
-        message = bytes([len(payload)]) + payload + crc.to_bytes(2, "big")
-        symbols = self._symbols_for(message)
+        symbols = self._symbols_for(pack_u8_frame(payload))
         body = self.config.amplitude * self._tones[symbols].reshape(-1)
         return np.concatenate([self._preamble, body])
 
@@ -121,33 +119,17 @@ class FskModem:
     def decode_attempt(self, body: np.ndarray, eos: bool) -> tuple[str, bytes | None]:
         """Incremental decode of the samples following one sync peak."""
         cfg = self.config
-        sym_n = cfg.symbol_samples
-        per_byte = 8 // cfg.bits_per_symbol
-        header = per_byte * sym_n
+        header = 8 // cfg.bits_per_symbol * cfg.symbol_samples  # one byte
         if body.size < header:
             return ("done", None) if eos else ("need", header)
         n = int(self._pack_symbols(self._detect_symbols(body[:header]))[0])
         if n == 0:
             return ("done", None)
-        total = (1 + n + 2) * per_byte * sym_n
+        total = (1 + n + 2) * header
         if body.size < total:
             return ("done", None) if eos else ("need", total)
         data = self._pack_symbols(self._detect_symbols(body[:total]))
-        payload = data[1 : 1 + n].tobytes()
-        stored = int.from_bytes(data[1 + n : 1 + n + 2].tobytes(), "big")
-        if crc16_ccitt(payload) == stored:
-            return ("done", payload)
-        return ("done", None)
-
-    def stream(self) -> MessageStreamingReceiver:
-        """Chunk-fed receiver, bit-identical to :meth:`receive`."""
-        return MessageStreamingReceiver(self)
-
-    def receive(self, samples: np.ndarray) -> list[bytes]:
-        """Decode every FSK message found in ``samples`` (batch path)."""
-        rx = self.stream()
-        messages = rx.push(np.asarray(samples, dtype=np.float64))
-        return messages + rx.finish()
+        return ("done", unpack_u8_frame(data.tobytes()))
 
     def transmission_seconds(self, payload_len: int) -> float:
         """Airtime for a payload of the given length."""

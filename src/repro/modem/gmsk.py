@@ -30,8 +30,8 @@ from scipy import signal
 
 from repro.dsp.chirp import linear_chirp
 from repro.dsp.filters import fir_lowpass, filter_signal
-from repro.fec.crc import crc16_ccitt
-from repro.modem.message import MessageStreamingReceiver, PreambleSync
+from repro.fec.crc import pack_u16_frame, unpack_u16_frame
+from repro.modem.message import MessageModem, PreambleSync
 from repro.util.bits import bits_to_bytes, bytes_to_bits
 
 __all__ = ["GmskConfig", "GmskModem"]
@@ -73,7 +73,7 @@ def _gaussian_taps(bt: float, sps: int, span_symbols: int = 4) -> np.ndarray:
     return taps / np.sum(taps)
 
 
-class GmskModem:
+class GmskModem(MessageModem):
     """Length-prefixed, CRC-16-protected GMSK transceiver."""
 
     MAX_PAYLOAD = 4_096
@@ -127,18 +127,9 @@ class GmskModem:
         if not 0 < len(payload) <= self.MAX_PAYLOAD:
             raise ValueError(f"payload must be 1..{self.MAX_PAYLOAD} bytes")
         cfg = self.config
-        header = len(payload).to_bytes(2, "big")
-        crc = crc16_ccitt(payload).to_bytes(2, "big")
-        # Two alternating pad bytes ahead of the sync word absorb the
+        # The two alternating pad bytes ahead of the sync word absorb the
         # chirp detector's +/- few-bit timing slop in both directions.
-        message = (
-            b"\xaa\xaa"
-            + self._SYNC_WORD.to_bytes(2, "big")
-            + header
-            + payload
-            + crc
-        )
-        bits = bytes_to_bits(message)
+        bits = bytes_to_bits(pack_u16_frame(payload, self._SYNC_WORD))
         # Pad tail so the Gaussian filter ring-out stays in-frame.
         bits = np.concatenate([bits, np.zeros(8, dtype=np.uint8)])
         phase = self._phase_from_bits(bits)
@@ -187,13 +178,8 @@ class GmskModem:
             usable = frame[: (frame.size // 8) * 8]
             if usable.size < 32:
                 continue
-            stream = bits_to_bytes(usable)
-            length = int.from_bytes(stream[0:2], "big")
-            if length == 0 or 2 + length + 2 > len(stream):
-                continue
-            payload = stream[2 : 2 + length]
-            stored = int.from_bytes(stream[2 + length : 2 + length + 2], "big")
-            if crc16_ccitt(payload) == stored:
+            payload = unpack_u16_frame(bits_to_bytes(usable))
+            if payload is not None:
                 return payload
         return None
 
@@ -254,16 +240,6 @@ class GmskModem:
         if eos:
             return ("done", self._decode_window(body))
         return ("need", need)
-
-    def stream(self) -> MessageStreamingReceiver:
-        """Chunk-fed receiver, bit-identical to :meth:`receive`."""
-        return MessageStreamingReceiver(self)
-
-    def receive(self, samples: np.ndarray) -> list[bytes]:
-        """Decode every GMSK message found in ``samples`` (batch path)."""
-        rx = self.stream()
-        messages = rx.push(np.asarray(samples, dtype=np.float64))
-        return messages + rx.finish()
 
     def transmission_seconds(self, payload_len: int) -> float:
         """Airtime for a payload of the given length."""

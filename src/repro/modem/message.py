@@ -3,14 +3,14 @@
 The three baseline modems (FSK, GMSK, AudioQR) all frame a payload the
 same way: a chirp marker, then a self-describing body whose length is
 recovered from the first decoded bytes.  This module holds the one copy
-of the marker search: :class:`PreambleSync` names a modem's template and
-operating point, and :class:`MessageStreamingReceiver` runs it through
-the overlap-save :class:`~repro.dsp.chirp.StreamingCorrelator` (cached
-template FFT) and :class:`~repro.dsp.chirp.StreamingPeakDetector`, for
-both whole-capture and chunk-fed decoding.  Its peaks equal
-:func:`~repro.dsp.chirp.matched_filter_peak` with the same arguments,
-which is how the seed decoders in ``tests/reference/modems.py`` find
-their markers.
+of what they share: :class:`PreambleSync` names a modem's template and
+operating point, :class:`MessageStreamingReceiver` runs it through a
+:class:`~repro.modem.streaming.SyncWindow` (the correlator, peak
+detector and kept samples the OFDM receiver uses too), and
+:class:`MessageModem` gives each modem its ``stream`` and ``receive``.
+The window's peaks equal :func:`~repro.dsp.chirp.matched_filter_peak`
+with the same arguments, which is how the seed decoders in
+``tests/reference/modems.py`` find their markers.
 
 A modem plugs in by exposing:
 
@@ -25,18 +25,18 @@ A modem plugs in by exposing:
     can.  The contract that makes chunk feeding bit-identical to batch
     decoding: once ``("done", r)`` is returned for a body prefix, every
     longer body must yield the same ``r``, and with ``eos=True`` the
-    attempt must always resolve to ``("done", ...)``.
+    attempt must always resolve to ``("done", ...)``.  The receiver
+    takes ``n`` at its word: it asks again only once ``n`` body samples
+    are buffered, or at the end of the capture.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.dsp.chirp import StreamingCorrelator, StreamingPeakDetector
+from repro.modem.streaming import SyncWindow
 
-__all__ = ["PreambleSync", "MessageStreamingReceiver"]
+__all__ = ["PreambleSync", "MessageStreamingReceiver", "MessageModem"]
 
 
 class PreambleSync:
@@ -48,105 +48,69 @@ class PreambleSync:
             raise ValueError("sync template must not be empty")
         self.threshold = float(threshold)
 
-    def correlator(self) -> StreamingCorrelator:
-        return StreamingCorrelator(self.template)
-
-    def detector(self) -> StreamingPeakDetector:
-        """Peaks at least one template length apart."""
-        return StreamingPeakDetector(self.threshold, self.template.size)
-
 
 class MessageStreamingReceiver:
     """Chunk-fed message decoder with chunk-size-invariant output.
 
-    Peaks come from the streaming correlator/detector pair, whose scores
-    are bit-identical for any chunking of the capture; each finalised
-    peak is then decoded by the modem's ``decode_attempt`` as soon as
-    enough body samples are buffered.  Messages are emitted in marker
-    order, exactly like the whole-capture receive path (which is itself
-    implemented as one ``push`` + ``finish`` through this class).
+    Peaks come from the sync window, whose scores are bit-identical for
+    any chunking of the capture; the head peak is then decoded by the
+    modem's ``decode_attempt`` as soon as the body samples it asked for
+    are buffered.  Messages are emitted in marker order, exactly like
+    the whole-capture receive path (which is itself one ``push`` +
+    ``finish`` through this class).
     """
 
     def __init__(self, modem) -> None:
         self._modem = modem
         sync: PreambleSync = modem.sync
         self._body_offset = sync.template.size
-        self._correlator = sync.correlator()
-        self._detector = sync.detector()
-        self._buffer = np.zeros(0, dtype=np.float64)
-        self._base = 0  # absolute sample index of self._buffer[0]
-        self._open: deque[tuple[int, float]] = deque()
-        self._finished = False
-        # Stats (mirrors the OFDM StreamingReceiver's bookkeeping).
-        self.total_pushed = 0
-        self.peaks_detected = 0
+        self._window = SyncWindow(sync.template, sync.threshold)
+        self._need = 0  # body samples the head peak's last attempt asked for
         self.messages_decoded = 0
-        self.max_buffer_samples = 0
-
-    # -- feeding -----------------------------------------------------------
 
     def push(self, chunk: np.ndarray) -> list[bytes]:
         """Feed samples; returns the messages finalised by this chunk."""
-        if self._finished:
-            raise RuntimeError("receiver already finished")
-        chunk = np.asarray(chunk, dtype=np.float64)
-        self.total_pushed += chunk.size
-        if chunk.size:
-            self._buffer = (
-                np.concatenate([self._buffer, chunk]) if self._buffer.size else chunk.copy()
-            )
-        peaks = self._detector.push(*self._correlator.push(chunk))
-        self.peaks_detected += len(peaks)
-        self._open.extend(peaks)
-        out = self._drain(eos=False)
-        self._trim()
-        self.max_buffer_samples = max(self.max_buffer_samples, self._buffer.size)
-        return out
+        return self._window.push(chunk, self._drain)
 
     def finish(self) -> list[bytes]:
         """End of capture: resolve pending peaks and decode what remains."""
-        if self._finished:
-            return []
-        self._finished = True
-        peaks = self._detector.push(*self._correlator.flush())
-        peaks += self._detector.finish()
-        self.peaks_detected += len(peaks)
-        self._open.extend(peaks)
-        out = self._drain(eos=True)
-        self._buffer = np.zeros(0, dtype=np.float64)
-        return out
+        return self._window.finish(self._drain)
 
-    # -- decoding ----------------------------------------------------------
+    @property
+    def max_buffer_samples(self) -> int:
+        return self._window.max_buffer_samples
 
     def _drain(self, eos: bool) -> list[bytes]:
+        window = self._window
         out: list[bytes] = []
-        while self._open:
-            start, _score = self._open[0]
-            body_start = start + self._body_offset - self._base
-            body = (
-                self._buffer[body_start:]
-                if body_start < self._buffer.size
-                else np.zeros(0, dtype=np.float64)
-            )
+        while window.peaks:
+            body_start = window.peaks[0][0] + self._body_offset
+            if not eos and window.total_pushed - body_start < self._need:
+                break
+            body = window.samples[body_start - window.start :]
             status, value = self._modem.decode_attempt(body, eos)
             if status == "need":
                 if eos:
                     raise RuntimeError("decode_attempt must resolve at end of capture")
+                self._need = value
                 break
-            self._open.popleft()
+            window.peaks.popleft()
+            self._need = 0
             if value is not None:
                 self.messages_decoded += 1
                 out.append(value)
         return out
 
-    def _trim(self) -> None:
-        """Drop buffered samples no open or future peak can reach back to."""
-        keep = self._detector.watermark
-        pending = self._detector.pending_min
-        if pending is not None:
-            keep = min(keep, pending)
-        if self._open:
-            keep = min(keep, self._open[0][0])
-        if keep > self._base:
-            self._buffer = self._buffer[keep - self._base :]
-            self._base = keep
+
+class MessageModem:
+    """``stream`` and ``receive`` for a modem with ``sync`` and
+    ``decode_attempt``."""
+
+    def stream(self) -> MessageStreamingReceiver:
+        """Chunk-fed receiver, bit-identical to :meth:`receive`."""
+        return MessageStreamingReceiver(self)
+
+    def receive(self, samples: np.ndarray) -> list[bytes]:
+        """Decode every message found in ``samples`` (whole capture)."""
+        rx = self.stream()
+        return rx.push(samples) + rx.finish()

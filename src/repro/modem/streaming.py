@@ -25,13 +25,17 @@ Parity argument, in brief:
 * FEC decoding is row-independent, so per-burst ``decode_batch`` calls
   equal the batch path's one whole-capture call.
 
-:meth:`Modem.receive` is a thin wrapper over this class.
+:meth:`Modem.receive` is a thin wrapper over this class.  What it shares
+with the message modems' receiver (:mod:`repro.modem.message`) — the
+correlator and peak detector, the kept samples and their trim, the
+end-of-capture flush — is one :class:`SyncWindow`; each receiver adds
+only its decode step.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -40,7 +44,94 @@ from repro.dsp.chirp import StreamingCorrelator, StreamingPeakDetector
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.modem.modem import Modem, ReceivedFrame
 
-__all__ = ["StreamingReceiver"]
+__all__ = ["SyncWindow", "StreamingReceiver"]
+
+
+class SyncWindow:
+    """The part of a chunk-fed capture that a decode can still read.
+
+    It runs a template's :class:`StreamingCorrelator` and
+    :class:`StreamingPeakDetector` over every chunk, keeps the samples
+    from the oldest position a decode may still read (``samples``, whose
+    first sample is absolute index ``start``), and queues the finalised
+    peaks (``peaks``, ``(position, score)`` in position order) until the
+    receiver's decode step pops them.  ``push`` and ``finish`` call that
+    step as ``drain(eos)`` and return what it returns.
+
+    The trim is one rule for every receiver: keep from the oldest queued
+    peak, else from the :attr:`horizon`.  A queued peak precedes every
+    pending candidate and the detector's watermark, so nothing left of
+    it can be needed.
+    """
+
+    def __init__(self, template: np.ndarray, threshold: float) -> None:
+        self._correlator = StreamingCorrelator(template)
+        self._detector = StreamingPeakDetector(
+            threshold, self._correlator.template_len
+        )
+        # samples is a view of the filled part of _store, which grows by
+        # doubling and ends at _hi.
+        self._store = self.samples = np.zeros(0)
+        self._hi = 0
+        self.start = 0
+        self.peaks: deque[tuple[int, float]] = deque()
+        self._finished = False
+        self.total_pushed = 0
+        self.max_buffer_samples = 0
+
+    @property
+    def horizon(self) -> int:
+        """Lowest position at which a peak not yet queued can appear."""
+        pending = self._detector.pending_min
+        return pending if pending is not None else self._detector.watermark
+
+    def push(self, chunk: np.ndarray, drain: Callable[[bool], list]) -> list:
+        """Take the next chunk, then ``drain(False)``, then trim."""
+        if self._finished:
+            raise RuntimeError("receiver already finished")
+        chunk = np.asarray(chunk, dtype=np.float64)
+        if chunk.size:
+            self.total_pushed += chunk.size
+            self._append(chunk)
+        self.peaks.extend(self._detector.push(*self._correlator.push(chunk)))
+        out = drain(False)
+        keep_from = self.peaks[0][0] if self.peaks else self.horizon
+        cut = keep_from - self.start
+        if cut > 0:
+            self.samples = self.samples[cut:]
+            self.start = keep_from
+        self.max_buffer_samples = max(self.max_buffer_samples, self.samples.size)
+        return out
+
+    def finish(self, drain: Callable[[bool], list]) -> list:
+        """Score the capture's tail, ``drain(True)``, release the samples;
+        ``[]`` once the capture has finished."""
+        if self._finished:
+            return []
+        self._finished = True
+        self.peaks.extend(self._detector.push(*self._correlator.flush()))
+        self.peaks.extend(self._detector.finish())
+        out = drain(True)
+        self._store = self.samples = np.zeros(0)
+        self._hi = 0
+        self.start = self.total_pushed
+        return out
+
+    def _append(self, chunk: np.ndarray) -> None:
+        """Copy ``chunk`` after the kept samples.
+
+        Only the new samples are copied, unless the storage is full: then
+        the kept samples move to the front of new storage twice the size
+        of them and the chunk, so a sample moves O(1) times.
+        """
+        hi, n, kept = self._hi, chunk.size, self.samples.size
+        if hi + n > self._store.size:
+            store = np.empty(2 * (kept + n))
+            store[:kept] = self.samples
+            self._store, hi = store, kept
+        self._store[hi : hi + n] = chunk
+        self._hi = hi + n
+        self.samples = self._store[hi - kept : hi + n]
 
 
 class StreamingReceiver:
@@ -62,66 +153,41 @@ class StreamingReceiver:
     ) -> None:
         self._modem = modem
         self._frames_per_burst = frames_per_burst
-        self._correlator = StreamingCorrelator(modem._preamble)
-        self._detector = StreamingPeakDetector(
-            modem.SYNC_THRESHOLD, modem._preamble.size
-        )
-        # _buffer is a view of the filled part of _store, which grows by
-        # doubling and ends at _hi.
-        self._store = self._buffer = np.zeros(0)
-        self._hi = 0
-        self._buffer_start = 0  # absolute index of _buffer[0]
-        self._peaks: deque[tuple[int, float]] = deque()  # finalised, undecoded
-        self._finished = False
-        self.total_pushed = 0
+        self._window = SyncWindow(modem._preamble, modem.SYNC_THRESHOLD)
         self.frames_decoded = 0
         self.frames_ok = 0
-        self.max_buffer_samples = 0
 
     # -- feeding ----------------------------------------------------------
+    # push and finish are defined here, not inherited: the bench tracer
+    # patches them through this class's own __dict__.
 
     def push(self, chunk: np.ndarray) -> "list[ReceivedFrame]":
         """Feed the next audio chunk; returns frames decodable so far."""
-        if self._finished:
-            raise RuntimeError("receiver already finished")
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.size:
-            self.total_pushed += chunk.size
-            self._append(chunk)
-        self._peaks.extend(self._detector.push(*self._correlator.push(chunk)))
-        frames = self._drain(eos=False)
-        self._trim()
-        self.max_buffer_samples = max(self.max_buffer_samples, self._buffer.size)
-        return frames
+        return self._window.push(chunk, self._drain)
 
     def finish(self) -> "list[ReceivedFrame]":
         """Signal end of capture; returns the remaining frames."""
-        if self._finished:
-            return []
-        self._finished = True
-        self._peaks.extend(self._detector.push(*self._correlator.flush()))
-        self._peaks.extend(self._detector.finish())
-        self.max_buffer_samples = max(self.max_buffer_samples, self._buffer.size)
-        frames = self._drain(eos=True)
-        self._store = self._buffer = np.zeros(0)
-        self._hi = 0
-        self._buffer_start = self.total_pushed
-        return frames
+        return self._window.finish(self._drain)
 
     @property
     def buffered_samples(self) -> int:
-        return self._buffer.size
+        return self._window.samples.size
+
+    @property
+    def max_buffer_samples(self) -> int:
+        return self._window.max_buffer_samples
 
     # -- decoding ----------------------------------------------------------
 
     def _drain(self, eos: bool) -> "list[ReceivedFrame]":
+        peaks = self._window.peaks
         out: "list[ReceivedFrame]" = []
-        while self._peaks:
-            pos, score = self._peaks[0]
-            if len(self._peaks) >= 2:
-                limit = self._peaks[1][0]
+        while peaks:
+            pos, score = peaks[0]
+            if len(peaks) >= 2:
+                limit = peaks[1][0]
             elif eos:
-                limit = self.total_pushed
+                limit = self._window.total_pushed
             else:
                 limit = self._early_limit(pos)
                 if limit is None:
@@ -130,7 +196,7 @@ class StreamingReceiver:
             self.frames_decoded += len(burst)
             self.frames_ok += sum(1 for f in burst if f.ok)
             out.extend(burst)
-            self._peaks.popleft()
+            peaks.popleft()
         return out
 
     def _early_limit(self, pos: int) -> int | None:
@@ -151,9 +217,8 @@ class StreamingReceiver:
         offset = modem._preamble.size + modem.profile.guard_samples
         sym_len = modem.profile.ofdm.symbol_len
         needed = pos + offset + (fpb * modem._n_payload_symbols + 1) * sym_len
-        pending = self._detector.pending_min
-        next_peak_lb = pending if pending is not None else self._detector.watermark
-        if next_peak_lb >= needed and self.total_pushed >= needed:
+        window = self._window
+        if window.horizon >= needed and window.total_pushed >= needed:
             return needed
         return None
 
@@ -171,7 +236,8 @@ class StreamingReceiver:
         max_symbols = (limit - frame_start) // sym_len - 1
         if max_symbols < per_frame:
             return [ReceivedFrame(None, pos, -np.inf, score)]
-        rel_start = frame_start - self._buffer_start
+        samples = self._window.samples
+        rel_start = frame_start - self._window.start
         if self._frames_per_burst is not None:
             n_frames = min(self._frames_per_burst, max_symbols // per_frame)
             # A broadcast's last burst may be short: stop at the frame
@@ -180,19 +246,15 @@ class StreamingReceiver:
             # burst's noise estimate.  Only those slots are read, so the
             # count is the same for every chunking.
             active = modem._count_active_symbols(
-                self._buffer, rel_start, n_frames * per_frame
+                samples, rel_start, n_frames * per_frame
             )
             n_frames = min(n_frames, max(1, -(-active // per_frame)))
         else:
-            active = modem._count_active_symbols(
-                self._buffer, rel_start, max_symbols
-            )
+            active = modem._count_active_symbols(samples, rel_start, max_symbols)
             n_frames = max(1, int(round(active / per_frame))) if active else 1
             n_frames = min(n_frames, max_symbols // per_frame)
         try:
-            demod = modem.phy.demodulate(
-                self._buffer, rel_start, n_frames * per_frame
-            )
+            demod = modem.phy.demodulate(samples, rel_start, n_frames * per_frame)
         except ValueError:
             return [ReceivedFrame(None, pos, -np.inf, score)]
         soft = modem.phy.constellation.demap_soft(
@@ -206,35 +268,3 @@ class StreamingReceiver:
             )
             frames.append(ReceivedFrame(payload, frame_index, demod.snr_db, score))
         return frames
-
-    # -- memory ----------------------------------------------------------
-
-    def _append(self, chunk: np.ndarray) -> None:
-        """Copy ``chunk`` after the buffered samples.
-
-        Only the new samples are copied, unless the storage is full: then
-        the buffered samples move to the front of new storage twice the
-        size of them and the chunk, so a sample moves O(1) times.
-        """
-        hi, n, kept = self._hi, chunk.size, self._buffer.size
-        if hi + n > self._store.size:
-            store = np.empty(2 * (kept + n))
-            store[:kept] = self._buffer
-            self._store, hi = store, kept
-        self._store[hi : hi + n] = chunk
-        self._hi = hi + n
-        self._buffer = self._store[hi - kept : hi + n]
-
-    def _trim(self) -> None:
-        """Discard buffered samples no future decode can touch."""
-        if self._peaks:
-            keep_from = self._peaks[0][0]
-        else:
-            pending = self._detector.pending_min
-            keep_from = (
-                pending if pending is not None else self._detector.watermark
-            )
-        cut = keep_from - self._buffer_start
-        if cut > 0:
-            self._buffer = self._buffer[cut:]
-            self._buffer_start = keep_from

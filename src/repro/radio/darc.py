@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dsp.filters import fir_lowpass, filter_signal
-from repro.fec.crc import crc16_ccitt
+from repro.fec.crc import pack_u16_frame, unpack_u16_frame
 from repro.util.bits import bits_to_bytes, bytes_to_bits
 
 __all__ = ["DarcConfig", "DarcChannel"]
@@ -55,14 +55,7 @@ class DarcChannel:
         """Frame and modulate ``payload`` onto the 76 kHz subcarrier."""
         if not 0 < len(payload) <= self.MAX_PAYLOAD:
             raise ValueError(f"payload must be 1..{self.MAX_PAYLOAD} bytes")
-        message = (
-            b"\xaa\xaa"  # bit-sync pad
-            + _SYNC.to_bytes(2, "big")
-            + len(payload).to_bytes(2, "big")
-            + payload
-            + crc16_ccitt(payload).to_bytes(2, "big")
-        )
-        bits = bytes_to_bits(message)
+        bits = bytes_to_bits(pack_u16_frame(payload, _SYNC))
         # Differential encoding (polarity-insensitive at the receiver).
         diff = np.zeros(bits.size, dtype=np.int64)
         prev = 0
@@ -122,18 +115,12 @@ class DarcChannel:
             usable = body[: (body.size // 8) * 8]
             if usable.size < 40:
                 break
-            stream = bits_to_bytes(usable)
-            length = int.from_bytes(stream[0:2], "big")
-            if length == 0 or 2 + length + 2 > len(stream):
+            payload = unpack_u16_frame(bits_to_bytes(usable))
+            if payload is None:
                 i += 1
                 continue
-            payload = stream[2 : 2 + length]
-            stored = int.from_bytes(stream[2 + length : 2 + length + 2], "big")
-            if crc16_ccitt(payload) == stored:
-                out.append(payload)
-                i += 16 + (2 + length + 2) * 8
-            else:
-                i += 1
+            out.append(payload)
+            i += 16 + (2 + len(payload) + 2) * 8
         return out
 
     def airtime_seconds(self, payload_len: int) -> float:

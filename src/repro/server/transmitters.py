@@ -11,11 +11,8 @@ The carousel rebroadcasts popular pages hour after hour, and most hours
 the page has not changed — so each transmitter also owns a
 :class:`BroadcastEncodeCache`, an LRU keyed on the payload digest that
 lets a repeat broadcast of unchanged content reuse the chunked frames
-instead of re-chunking them.  The same class caches modulated bursts
-(keyed also on modem profile and FEC parameters) where a caller sizes
-one for that: ``repro stream --cache-bursts``.  The station's own cache
-holds frames only; ``SonicSystem.open_stream`` modulates each burst
-afresh and keeps none it has sent.
+instead of re-chunking them.  The cache holds frames only: the streaming
+transmitter modulates each burst afresh and keeps none it has sent.
 """
 
 from __future__ import annotations
@@ -25,14 +22,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.sim.geometry import Location, distance_km
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
 from repro.transport.framing import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.modem.modem import Modem
     from repro.transport.bundle import BundleTransport
 
 __all__ = [
@@ -51,22 +45,21 @@ def payload_digest(data: bytes) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters, split by what the cache avoided re-computing."""
+    """Hit/miss counters of the frame cache."""
 
     frame_hits: int = 0
     frame_misses: int = 0
+    # Always 0: no burst is cached.  The bench's delivery workloads
+    # (bench/workloads.py) still read them for their burst hit ratio.
     burst_hits: int = 0
     burst_misses: int = 0
 
 
 class BroadcastEncodeCache:
-    """LRU cache of chunked frames and modulated frame bursts.
+    """LRU cache of chunked frames.
 
-    Frame entries are keyed on ``(payload digest, page_id, version)`` —
-    everything :meth:`BundleTransport.chunk` depends on.  Burst entries
-    carry the burst's payload digest, the modem profile name, its FEC
-    parameters and the frame count, so different profiles never share
-    samples.
+    Entries are keyed on ``(payload digest, page_id, version)`` —
+    everything :meth:`BundleTransport.chunk` depends on.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -110,30 +103,6 @@ class BroadcastEncodeCache:
         frames = transport.chunk(data, page_id=page_id, version=version)
         self._put(key, frames)
         return frames
-
-    def burst(self, payloads: list[bytes], modem: "Modem") -> np.ndarray:
-        """Modulated audio for one frame burst — the streaming TX unit.
-
-        When the carousel repeats a burst within a few bursts (the
-        gap-filling cycles ``repro stream --cache-bursts`` serves), the
-        streaming :class:`~repro.core.stream.WaveformSource` can skip
-        FEC + OFDM for the repeat without ever materialising the whole
-        broadcast waveform.  Each entry is a whole burst of float64
-        (1.03 MB for 16 sonic-ofdm frames), so size the cache in bursts
-        the repeats actually span.
-        """
-        digest = payload_digest(b"".join(payloads))
-        profile = modem.profile
-        key = ("burst", digest, profile.name, profile.fec, len(payloads))
-        cached = self._get(key)
-        if cached is not None:
-            self.stats.burst_hits += 1
-            return cached
-        self.stats.burst_misses += 1
-        wave = modem.transmit_burst(payloads)
-        wave.setflags(write=False)  # shared across broadcasts — keep immutable
-        self._put(key, wave)
-        return wave
 
 
 @dataclass

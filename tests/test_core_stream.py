@@ -19,7 +19,6 @@ from repro.core.stream import (
 )
 from repro.modem.modem import Modem, ReceivedFrame
 from repro.modem.streaming import StreamingReceiver
-from repro.server.transmitters import BroadcastEncodeCache
 from repro.transport.bundle import BundleTransport
 from repro.transport.carousel import BroadcastCarousel, CarouselItem
 from repro.transport.framing import PAYLOAD_SIZE, Frame, FrameHeader, FrameType
@@ -128,26 +127,6 @@ class TestWaveformSource:
             assert n_ok == 16 * n_bursts
             peaks.append(rx.max_buffer_samples)
         assert peaks[0] == peaks[1] < 2 * modem.burst_samples(16)
-
-    def test_burst_cache_dedupes_repeat_bursts(self, modem):
-        payloads = [f.to_bytes() for f in _frames(16)]
-        cache = BroadcastEncodeCache(capacity=8)
-        supply = iter([payloads, payloads, payloads])
-        src = WaveformSource(
-            lambda: next(supply, None), modem, cache=cache
-        )
-        src.read_all()
-        assert cache.stats.burst_misses == 1
-        assert cache.stats.burst_hits == 2
-        # A hit hands back the one cached array, frozen against writes.
-        wave = cache.burst(payloads, modem)
-        assert cache.burst(payloads, modem) is wave
-        assert not wave.flags.writeable
-        assert cache.stats.burst_hits == 4
-        # Another modem profile never shares samples: a second miss.
-        other = cache.burst(payloads, Modem("audible-7k"))
-        assert cache.stats.burst_misses == 2
-        assert other.size != wave.size or not np.array_equal(other, wave)
 
     def test_idle_fill_pads_with_silence(self, modem):
         """An idle supply yields silence; the stream never ends."""

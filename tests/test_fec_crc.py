@@ -1,11 +1,20 @@
-"""CRC implementations against reference values, zlib and the tables."""
+"""CRC implementations against reference values, zlib and the tables,
+and the two CRC-16 message layouts built on them."""
 
 import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fec.crc import crc8, crc16_ccitt, crc32_ieee
+from repro.fec.crc import (
+    crc8,
+    crc16_ccitt,
+    crc32_ieee,
+    pack_u8_frame,
+    pack_u16_frame,
+    unpack_u8_frame,
+    unpack_u16_frame,
+)
 from tests.reference.crc import crc16_ccitt_ref, crc32_ieee_ref
 
 _CHUNKS = st.lists(st.binary(max_size=1000), min_size=1, max_size=4)
@@ -73,3 +82,44 @@ class TestCrc8:
     def test_range(self):
         for data in (b"", b"\x00", b"\xff" * 10):
             assert 0 <= crc8(data) <= 0xFF
+
+
+class TestFraming:
+    """Each CRC-16 message layout round-trips through its one builder
+    and parser, and the parser rejects a zero length, a truncated frame
+    and any single flipped CRC bit."""
+
+    @given(st.binary(min_size=1, max_size=255), st.binary(max_size=8), st.data())
+    def test_u8_frame(self, payload, tail, data):
+        frame = pack_u8_frame(payload)
+        assert frame[0] == len(payload) and len(frame) == len(payload) + 3
+        assert unpack_u8_frame(frame + tail) == payload
+        assert unpack_u8_frame(frame[: data.draw(st.integers(0, len(frame) - 1))]) is None
+        assert unpack_u8_frame(_flip_crc_bit(frame, data.draw(st.integers(0, 15)))) is None
+        empty = b"\x00" + crc16_ccitt(b"").to_bytes(2, "big")
+        assert unpack_u8_frame(empty + tail) is None
+
+    @given(
+        st.binary(min_size=1, max_size=4_096),
+        st.integers(0, 0xFFFF),
+        st.binary(max_size=8),
+        st.data(),
+    )
+    def test_u16_frame(self, payload, sync, tail, data):
+        frame = pack_u16_frame(payload, sync)
+        assert frame[:4] == b"\xaa\xaa" + sync.to_bytes(2, "big")
+        body = frame[4:]  # what the parser reads after the sync word
+        assert int.from_bytes(body[:2], "big") == len(payload)
+        assert len(body) == len(payload) + 4
+        assert unpack_u16_frame(body + tail) == payload
+        assert unpack_u16_frame(body[: data.draw(st.integers(0, len(body) - 1))]) is None
+        assert unpack_u16_frame(_flip_crc_bit(body, data.draw(st.integers(0, 15)))) is None
+        empty = b"\x00\x00" + crc16_ccitt(b"").to_bytes(2, "big")
+        assert unpack_u16_frame(empty + tail) is None
+
+
+def _flip_crc_bit(frame: bytes, bit: int) -> bytes:
+    """``frame`` with one bit of its trailing CRC-16 flipped."""
+    out = bytearray(frame)
+    out[-2 + bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(out)
